@@ -142,6 +142,7 @@ class BinaryReader {
 
   Status GetRaw(uint8_t* out, size_t len) {
     if (len > Remaining()) return Status::Corruption("truncated raw field");
+    if (len == 0) return Status::OK();  // `out` may be null for an empty field.
     std::memcpy(out, data_ + pos_, len);
     pos_ += len;
     return Status::OK();

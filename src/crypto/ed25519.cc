@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/logging.h"
 #include "crypto/sha512.h"
 
 namespace massbft {
@@ -11,17 +12,19 @@ namespace {
 // ------------------------------------------------------------------ Field
 // GF(2^255 - 19) in five 51-bit limbs. Products are accumulated in
 // unsigned __int128; reduction folds the 2^255 overflow back in times 19.
-// Limbs are kept below ~2^52 between operations, far inside the ~2^54
-// bound the multiply accumulators tolerate.
+// Limb bounds: FeMul/FeSq/FeSub outputs are "tight" (below 2^51 + 2^14);
+// FeAdd skips the carry pass, so its output is below 2^53 when its inputs
+// are tight and below 2^54 when one is itself a sum. Multiplication
+// tolerates inputs up to 2^54 (accumulators stay under 2^115 and the
+// final 19 * carry under 2^64); FeSub tolerates any g below 2^53 - 76.
+// The point formulas below never chain more than two additions.
 
 using u64 = uint64_t;
 using u128 = unsigned __int128;
 
 constexpr u64 kMask = (u64{1} << 51) - 1;
 
-struct Fe {
-  u64 v[5];
-};
+using internal_ed25519::Fe;
 
 constexpr Fe kFeZero = {{0, 0, 0, 0, 0}};
 constexpr Fe kFeOne = {{1, 0, 0, 0, 0}};
@@ -95,10 +98,7 @@ void FeToBytes(uint8_t s[32], const Fe& f) {
       s[8 * i + j] = static_cast<uint8_t>(out[i] >> (8 * j));
 }
 
-/// One carry pass. Together with the call sites below this maintains the
-/// global invariant that every Fe limb stays below 2^52 — which keeps
-/// FeSub's 4p offset large enough to never underflow and keeps FeMul's
-/// 128-bit accumulators far from overflow.
+/// One carry pass: brings every limb back to a tight bound.
 void FeWeakReduce(Fe* h) {
   h->v[1] += h->v[0] >> 51;
   h->v[0] &= kMask;
@@ -112,13 +112,13 @@ void FeWeakReduce(Fe* h) {
   h->v[4] &= kMask;
 }
 
+/// h = f + g without a carry pass (see the limb bounds above).
 void FeAdd(Fe* h, const Fe& f, const Fe& g) {
   for (int i = 0; i < 5; ++i) h->v[i] = f.v[i] + g.v[i];
-  FeWeakReduce(h);
 }
 
 /// h = f - g, computed as f + 4p - g so limbs never underflow (4p because
-/// g's limbs may be just under 2^52).
+/// g may be an unreduced sum), then carried back to tight.
 void FeSub(Fe* h, const Fe& f, const Fe& g) {
   h->v[0] = f.v[0] + 0x1FFFFFFFFFFFB4u - g.v[0];
   h->v[1] = f.v[1] + 0x1FFFFFFFFFFFFCu - g.v[1];
@@ -130,7 +130,10 @@ void FeSub(Fe* h, const Fe& f, const Fe& g) {
 
 void FeNeg(Fe* h, const Fe& f) { FeSub(h, kFeZero, f); }
 
-void FeCarry(Fe* h, u128 t0, u128 t1, u128 t2, u128 t3, u128 t4) {
+// FeCarry, FeMul and FeSq are forced inline so the independent products
+// of a point formula can interleave (about 10% on verification).
+[[gnu::always_inline]] inline void FeCarry(Fe* h, u128 t0, u128 t1, u128 t2,
+                                           u128 t3, u128 t4) {
   u64 c;
   u64 r0 = static_cast<u64>(t0) & kMask;
   c = static_cast<u64>(t0 >> 51);
@@ -157,7 +160,7 @@ void FeCarry(Fe* h, u128 t0, u128 t1, u128 t2, u128 t3, u128 t4) {
   h->v[4] = r4;
 }
 
-void FeMul(Fe* h, const Fe& f, const Fe& g) {
+[[gnu::always_inline]] inline void FeMul(Fe* h, const Fe& f, const Fe& g) {
   const u64 f0 = f.v[0], f1 = f.v[1], f2 = f.v[2], f3 = f.v[3], f4 = f.v[4];
   const u64 g0 = g.v[0], g1 = g.v[1], g2 = g.v[2], g3 = g.v[3], g4 = g.v[4];
   const u64 g1_19 = 19 * g1, g2_19 = 19 * g2, g3_19 = 19 * g3,
@@ -180,11 +183,30 @@ void FeMul(Fe* h, const Fe& f, const Fe& g) {
   FeCarry(h, t0, t1, t2, t3, t4);
 }
 
-void FeSq(Fe* h, const Fe& f) { FeMul(h, f, f); }
+/// h = f^2: the 15-product schoolbook square (cross terms doubled once,
+/// wrapped terms pre-multiplied by 19 or 38).
+[[gnu::always_inline]] inline void FeSq(Fe* h, const Fe& f) {
+  const u64 f0 = f.v[0], f1 = f.v[1], f2 = f.v[2], f3 = f.v[3], f4 = f.v[4];
+  const u64 f0_2 = 2 * f0, f1_2 = 2 * f1;
+  const u64 f1_38 = 38 * f1, f2_38 = 38 * f2, f3_38 = 38 * f3;
+  const u64 f3_19 = 19 * f3, f4_19 = 19 * f4;
+  u128 t0 = static_cast<u128>(f0) * f0 + static_cast<u128>(f1_38) * f4 +
+            static_cast<u128>(f2_38) * f3;
+  u128 t1 = static_cast<u128>(f0_2) * f1 + static_cast<u128>(f2_38) * f4 +
+            static_cast<u128>(f3_19) * f3;
+  u128 t2 = static_cast<u128>(f0_2) * f2 + static_cast<u128>(f1) * f1 +
+            static_cast<u128>(f3_38) * f4;
+  u128 t3 = static_cast<u128>(f0_2) * f3 + static_cast<u128>(f1_2) * f2 +
+            static_cast<u128>(f4_19) * f4;
+  u128 t4 = static_cast<u128>(f0_2) * f4 + static_cast<u128>(f1_2) * f3 +
+            static_cast<u128>(f2) * f2;
+  FeCarry(h, t0, t1, t2, t3, t4);
+}
 
 void FeSqN(Fe* h, const Fe& f, int n) {
-  *h = f;
-  for (int i = 0; i < n; ++i) FeSq(h, *h);
+  Fe t = f;  // A local, so the squaring chain can stay in registers.
+  for (int i = 0; i < n; ++i) FeSq(&t, t);
+  *h = t;
 }
 
 /// Shared ladder for the two exponentiations: returns z^(2^250 - 1) in
@@ -268,19 +290,25 @@ constexpr uint8_t kBaseBytes[32] = {
     0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
     0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66};
 /// Group order L = 2^252 + 27742317777372353535851937790883648493,
-/// little-endian bytes (for the TweetNaCl-style scalar reduction).
-constexpr u64 kL[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
+/// little-endian bytes.
+constexpr uint8_t kL[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
                         0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
                         0,    0,    0,    0,    0,    0,    0,    0,
                         0,    0,    0,    0,    0,    0,    0,    0x10};
 
 // -------------------------------------------------------------- Points
-// Extended twisted-Edwards coordinates (ref10 layout): P3 is (X:Y:Z:T)
-// with T = XY/Z; P1P1 the intermediate "completed" form; Cached the
-// precomputed addend (Y+X : Y-X : Z : 2dT).
+// ref10 layout: P2 is projective (X:Y:Z); P3 extended (X:Y:Z:T) with
+// T = XY/Z; P1P1 the "completed" result of an addition or doubling;
+// Cached a projective addend (Y+X : Y-X : Z : 2dT); Precomp an affine
+// addend (y+x, y-x, 2dxy) with Z = 1, one multiplication cheaper to add.
+//
+// Doubling needs only (X:Y:Z), and P1P1 -> P2 costs 3 multiplications
+// against 4 for P1P1 -> P3, so runs of doublings stay in P2 and convert
+// to P3 only right before an addition.
 
-struct P3 {
-  Fe x, y, z, t;
+using P3 = internal_ed25519::Point;
+struct P2 {
+  Fe x, y, z;
 };
 struct P1P1 {
   Fe x, y, z, t;
@@ -288,12 +316,21 @@ struct P1P1 {
 struct Cached {
   Fe y_plus_x, y_minus_x, z, t2d;
 };
+struct Precomp {
+  Fe y_plus_x, y_minus_x, xy2d;
+};
 
-/// Lazily-initialized derived constants (thread-safe since C++11; pure
-/// computation, so rule D1's determinism contract holds).
+/// Lazily-built constants and base-point tables (thread-safe since C++11;
+/// pure computation, so rule D1's determinism contract holds). The tables
+/// are ~31 KB: 256 affine multiples for the fixed-base multiply plus the
+/// eight odd multiples of B for verification.
 struct Curve {
   Fe d, d2, sqrt_m1;
   P3 base;
+  /// radix16[i][j] = (j+1) * 256^i * B, for signed-radix-16 [s]B.
+  Precomp radix16[32][8];
+  /// base_odd[j] = (2j+1) * B, for the width-5 NAF in Verify.
+  Precomp base_odd[8];
 };
 
 void P3Identity(P3* h) {
@@ -310,6 +347,23 @@ void P3ToCached(Cached* r, const P3& p, const Curve& c) {
   FeMul(&r->t2d, p.t, c.d2);
 }
 
+void P3ToPrecomp(Precomp* r, const P3& p, const Curve& c) {
+  Fe zinv, x, y;
+  FeInvert(&zinv, p.z);
+  FeMul(&x, p.x, zinv);
+  FeMul(&y, p.y, zinv);
+  FeAdd(&r->y_plus_x, y, x);
+  FeSub(&r->y_minus_x, y, x);
+  FeMul(&r->xy2d, x, y);
+  FeMul(&r->xy2d, r->xy2d, c.d2);
+}
+
+void P1P1ToP2(P2* r, const P1P1& p) {
+  FeMul(&r->x, p.x, p.t);
+  FeMul(&r->y, p.y, p.z);
+  FeMul(&r->z, p.z, p.t);
+}
+
 void P1P1ToP3(P3* r, const P1P1& p) {
   FeMul(&r->x, p.x, p.t);
   FeMul(&r->y, p.y, p.z);
@@ -317,8 +371,8 @@ void P1P1ToP3(P3* r, const P1P1& p) {
   FeMul(&r->t, p.x, p.y);
 }
 
-/// r = 2*p (doubling on the projective (X:Y:Z) part; T is not needed).
-void P3Dbl(P1P1* r, const P3& p) {
+/// r = 2*p: 4 squarings, no multiplication (T is not needed).
+void P2Dbl(P1P1* r, const P2& p) {
   Fe xx, yy, zz2, xpy, xpy2;
   FeSq(&xx, p.x);
   FeSq(&yy, p.y);
@@ -331,6 +385,8 @@ void P3Dbl(P1P1* r, const P3& p) {
   FeSub(&r->x, xpy2, r->y);    // X3 = (X+Y)^2 - YY - XX = 2XY
   FeSub(&r->t, zz2, r->z);     // T3 = 2ZZ - Z3
 }
+
+void P3Dbl(P1P1* r, const P3& p) { P2Dbl(r, P2{p.x, p.y, p.z}); }
 
 /// r = p + q.
 void P3Add(P1P1* r, const P3& p, const Cached& q) {
@@ -348,6 +404,35 @@ void P3Add(P1P1* r, const P3& p, const Cached& q) {
   FeSub(&r->t, dd, cc);
 }
 
+/// r = p + q for an affine addend (Z2 = 1, so D = 2 Z1).
+void P3MAdd(P1P1* r, const P3& p, const Precomp& q) {
+  Fe a, b, cc, dd, t0;
+  FeAdd(&t0, p.y, p.x);
+  FeMul(&a, t0, q.y_plus_x);
+  FeSub(&t0, p.y, p.x);
+  FeMul(&b, t0, q.y_minus_x);
+  FeMul(&cc, p.t, q.xy2d);
+  FeAdd(&dd, p.z, p.z);
+  FeSub(&r->x, a, b);
+  FeAdd(&r->y, a, b);
+  FeAdd(&r->z, dd, cc);
+  FeSub(&r->t, dd, cc);
+}
+
+/// -q for both addend forms: -(x, y) = (-x, y) swaps Y+X with Y-X and
+/// negates the T term.
+Cached CachedNeg(const Cached& q) {
+  Cached r{q.y_minus_x, q.y_plus_x, q.z, {}};
+  FeNeg(&r.t2d, q.t2d);
+  return r;
+}
+
+Precomp PrecompNeg(const Precomp& q) {
+  Precomp r{q.y_minus_x, q.y_plus_x, {}};
+  FeNeg(&r.xy2d, q.xy2d);
+  return r;
+}
+
 void P3Neg(P3* r, const P3& p) {
   FeNeg(&r->x, p.x);
   r->y = p.y;
@@ -355,15 +440,43 @@ void P3Neg(P3* r, const P3& p) {
   FeNeg(&r->t, p.t);
 }
 
-void P3Compress(uint8_t s[32], const P3& p) {
+/// Canonical encoding of the projective point (X:Y:Z).
+void EncodeXyz(uint8_t s[32], const Fe& px, const Fe& py, const Fe& pz) {
   Fe zinv, x, y;
-  FeInvert(&zinv, p.z);
-  FeMul(&x, p.x, zinv);
-  FeMul(&y, p.y, zinv);
+  FeInvert(&zinv, pz);
+  FeMul(&x, px, zinv);
+  FeMul(&y, py, zinv);
   FeToBytes(s, y);
   uint8_t xb[32];
   FeToBytes(xb, x);
   s[31] |= static_cast<uint8_t>((xb[0] & 1) << 7);
+}
+
+P3 P3Double(const P3& p) {
+  P1P1 t;
+  P3Dbl(&t, p);
+  P3 r;
+  P1P1ToP3(&r, t);
+  return r;
+}
+
+/// out[j] = p + j * step: the rows of every precomputed table.
+void Progression(P3 out[8], const P3& p, const P3& step, const Curve& c) {
+  Cached step_cached;
+  P3ToCached(&step_cached, step, c);
+  out[0] = p;
+  for (int j = 1; j < 8; ++j) {
+    P1P1 t;
+    P3Add(&t, out[j - 1], step_cached);
+    P1P1ToP3(&out[j], t);
+  }
+}
+
+/// out[j] = (2j+1) * p, the odd-multiple table of the width-5 NAF.
+void OddMultiples(Cached out[8], const P3& p, const Curve& c) {
+  P3 multiples[8];
+  Progression(multiples, p, P3Double(p), c);
+  for (int j = 0; j < 8; ++j) P3ToCached(&out[j], multiples[j], c);
 }
 
 /// True when the 255-bit little-endian value (sign bit ignored) is a
@@ -377,7 +490,8 @@ bool YIsCanonical(const uint8_t s[32]) {
   return false;
 }
 
-/// RFC 8032 §5.1.3 decompression with strict (canonical-y) parsing.
+/// RFC 8032 §5.1.3 decompression with strict (canonical-y) parsing. Uses
+/// only c.d and c.sqrt_m1, so BuildCurve may call it mid-construction.
 [[nodiscard]] bool P3Decompress(P3* h, const uint8_t s[32], const Curve& c) {
   if (!YIsCanonical(s)) return false;
   const bool sign = (s[31] & 0x80) != 0;
@@ -418,65 +532,118 @@ bool YIsCanonical(const uint8_t s[32]) {
   return true;
 }
 
+void BuildCurve(Curve* c) {
+  FeFromBytes(&c->d, kDBytes);
+  FeAdd(&c->d2, c->d, c->d);
+  FeFromBytes(&c->sqrt_m1, kSqrtM1Bytes);
+  bool ok = P3Decompress(&c->base, kBaseBytes, *c);
+  (void)ok;  // The encoding is a compile-time constant; always valid.
+
+  P3 multiples[8];
+  P3 row = c->base;  // 256^i * B
+  for (auto& entries : c->radix16) {
+    Progression(multiples, row, row, *c);
+    for (int j = 0; j < 8; ++j) P3ToPrecomp(&entries[j], multiples[j], *c);
+    for (int k = 0; k < 8; ++k) row = P3Double(row);
+  }
+  Progression(multiples, c->base, P3Double(c->base), *c);
+  for (int j = 0; j < 8; ++j) P3ToPrecomp(&c->base_odd[j], multiples[j], *c);
+}
+
 const Curve& GetCurve() {
   static const Curve curve = [] {
     Curve c;
-    FeFromBytes(&c.d, kDBytes);
-    FeAdd(&c.d2, c.d, c.d);
-    FeFromBytes(&c.sqrt_m1, kSqrtM1Bytes);
-    bool ok = P3Decompress(&c.base, kBaseBytes, c);
-    (void)ok;  // The encoding is a compile-time constant; always valid.
+    BuildCurve(&c);
     return c;
   }();
   return curve;
 }
 
 // -------------------------------------------------------------- Scalars
-// Arithmetic mod L on 32-byte little-endian scalars, TweetNaCl style:
-// simple byte-limb schoolbook, negligible next to the point arithmetic.
+// Arithmetic mod L on 32-byte little-endian scalars in ref10's signed
+// 21-bit limbs: 2^252 = -(L - 2^252) mod L, so a limb i >= 12 folds into
+// limbs i-12 .. i-7 times the six signed limbs of -(L - 2^252).
 
-void ScModL(uint8_t r[32], int64_t x[64]) {
-  int64_t carry;
-  for (int i = 63; i >= 32; --i) {
-    carry = 0;
-    int j;
-    for (j = i - 32; j < i - 12; ++j) {
-      x[j] += carry - 16 * x[i] * static_cast<int64_t>(kL[j - (i - 32)]);
-      carry = (x[j] + 128) >> 8;
-      x[j] -= carry << 8;
-    }
-    x[j] += carry;
-    x[i] = 0;
+constexpr int64_t kFold[6] = {666643, 470296, 654183, -997805, 136657, -683901};
+constexpr int64_t kLimbMask = (int64_t{1} << 21) - 1;
+
+/// Splits an n-byte little-endian integer into `count` 21-bit limbs; the
+/// top limb keeps every remaining bit.
+void ScLoad(int64_t* limbs, int count, const uint8_t* bytes, int n) {
+  for (int i = 0; i < count; ++i) {
+    const int bit = 21 * i;
+    u64 v = 0;
+    for (int b = bit / 8, k = 0; b < n && k < 8; ++b, ++k)
+      v |= static_cast<u64>(bytes[b]) << (8 * k);
+    v >>= bit % 8;
+    limbs[i] = static_cast<int64_t>(i + 1 < count ? v & kLimbMask : v);
   }
-  carry = 0;
-  for (int j = 0; j < 32; ++j) {
-    x[j] += carry - (x[31] >> 4) * static_cast<int64_t>(kL[j]);
-    carry = x[j] >> 8;
-    x[j] &= 255;
+}
+
+void ScFold(int64_t* s, int i) {
+  for (int k = 0; k < 6; ++k) s[i - 12 + k] += s[i] * kFold[k];
+  s[i] = 0;
+}
+
+/// Moves limb i's excess into limb i+1, leaving limb i in [-2^20, 2^20).
+void ScCarryRound(int64_t* s, int i) {
+  const int64_t carry = (s[i] + (int64_t{1} << 20)) >> 21;
+  s[i + 1] += carry;
+  s[i] -= carry * (int64_t{1} << 21);
+}
+
+/// Moves limb i's excess into limb i+1, leaving limb i in [0, 2^21).
+void ScCarryFloor(int64_t* s, int i) {
+  const int64_t carry = s[i] >> 21;
+  s[i + 1] += carry;
+  s[i] -= carry * (int64_t{1} << 21);
+}
+
+/// r = s mod L for 24 limbs whose magnitudes fit ref10's sc_reduce
+/// schedule (any 512-bit input, or a carried 12x12-limb product).
+void ScReduceLimbs(uint8_t r[32], int64_t s[24]) {
+  for (int i = 23; i >= 18; --i) ScFold(s, i);
+  for (int i = 6; i <= 16; i += 2) ScCarryRound(s, i);
+  for (int i = 7; i <= 15; i += 2) ScCarryRound(s, i);
+  for (int i = 17; i >= 12; --i) ScFold(s, i);
+  for (int i = 0; i <= 10; i += 2) ScCarryRound(s, i);
+  for (int i = 1; i <= 11; i += 2) ScCarryRound(s, i);
+  ScFold(s, 12);
+  for (int i = 0; i <= 11; ++i) ScCarryFloor(s, i);
+  ScFold(s, 12);
+  for (int i = 0; i <= 10; ++i) ScCarryFloor(s, i);
+
+  u64 acc = 0;
+  int acc_bits = 0, pos = 0;
+  for (int i = 0; i < 12; ++i) {
+    acc |= static_cast<u64>(s[i]) << acc_bits;
+    acc_bits += 21;
+    for (; acc_bits >= 8; acc_bits -= 8, acc >>= 8)
+      r[pos++] = static_cast<uint8_t>(acc);
   }
-  for (int j = 0; j < 32; ++j) x[j] -= carry * static_cast<int64_t>(kL[j]);
-  for (int i = 0; i < 32; ++i) {
-    x[i + 1] += x[i] >> 8;
-    r[i] = static_cast<uint8_t>(x[i] & 255);
-  }
+  r[pos] = static_cast<uint8_t>(acc);
 }
 
 /// r = x mod L for a 64-byte (512-bit) little-endian input.
 void ScReduce64(uint8_t r[32], const uint8_t x[64]) {
-  int64_t t[64];
-  for (int i = 0; i < 64; ++i) t[i] = x[i];
-  ScModL(r, t);
+  int64_t s[24];
+  ScLoad(s, 24, x, 64);
+  ScReduceLimbs(r, s);
 }
 
 /// r = (a * b + c) mod L, all 32-byte little-endian scalars.
 void ScMulAdd(uint8_t r[32], const uint8_t a[32], const uint8_t b[32],
               const uint8_t c[32]) {
-  int64_t t[64] = {0};
-  for (int i = 0; i < 32; ++i)
-    for (int j = 0; j < 32; ++j)
-      t[i + j] += static_cast<int64_t>(a[i]) * static_cast<int64_t>(b[j]);
-  for (int i = 0; i < 32; ++i) t[i] += c[i];
-  ScModL(r, t);
+  int64_t al[12], bl[12], s[24];
+  ScLoad(al, 12, a, 32);
+  ScLoad(bl, 12, b, 32);
+  ScLoad(s, 12, c, 32);
+  for (int k = 12; k < 24; ++k) s[k] = 0;
+  for (int i = 0; i < 12; ++i)
+    for (int j = 0; j < 12; ++j) s[i + j] += al[i] * bl[j];
+  for (int i = 0; i <= 22; i += 2) ScCarryRound(s, i);
+  for (int i = 1; i <= 21; i += 2) ScCarryRound(s, i);
+  ScReduceLimbs(r, s);
 }
 
 /// True iff the 32-byte little-endian scalar is < L (RFC 8032's MUST for
@@ -489,56 +656,130 @@ bool ScIsCanonical(const uint8_t s[32]) {
   return false;  // s == L.
 }
 
-// ------------------------------------------------- Multi-scalar multiply
-// Interleaved Straus with unsigned 4-bit windows: one shared chain of 252
-// doublings regardless of how many (point, scalar) terms participate —
-// the entire batch-verification speedup lives here.
+// ------------------------------------------------------ Fixed-base [s]B
+// Signed radix 16: s = sum_{i<64} e_i 16^i with e_i in [-8, 8], so
+// [s]B = sum_i e_i (16^i B). Odd i share a factor of 16, which lets one
+// table row (multiples of 256^k B) serve both parities:
+//   [s]B = 16 * sum_{i odd} e_i 256^(i/2) B  +  sum_{i even} e_i 256^(i/2) B
+// — 64 affine additions and 4 doublings in all.
 
-struct MsmTerm {
-  const P3* point;
-  const uint8_t* scalar;  // 32 bytes, little-endian.
-};
-
-void MultiScalarMul(P3* out, const MsmTerm* terms, size_t n) {
-  // Per-term table of 1P..15P in cached form.
-  std::vector<std::array<Cached, 15>> tables(n);
-  const Curve& c = GetCurve();
-  for (size_t k = 0; k < n; ++k) {
-    P3 multiple = *terms[k].point;
-    P3ToCached(&tables[k][0], multiple, c);
-    for (int m = 1; m < 15; ++m) {
-      P1P1 sum;
-      P3Add(&sum, multiple, tables[k][0]);
-      P1P1ToP3(&multiple, sum);
-      P3ToCached(&tables[k][m], multiple, c);
-    }
-  }
-  P3 acc;
-  P3Identity(&acc);
-  for (int pos = 63; pos >= 0; --pos) {
-    if (pos != 63) {
-      for (int i = 0; i < 4; ++i) {
-        P1P1 dbl;
-        P3Dbl(&dbl, acc);
-        P1P1ToP3(&acc, dbl);
-      }
-    }
-    const int byte = pos / 2;
-    const int shift = (pos & 1) ? 4 : 0;
-    for (size_t k = 0; k < n; ++k) {
-      const int digit = (terms[k].scalar[byte] >> shift) & 0xF;
-      if (digit == 0) continue;
-      P1P1 sum;
-      P3Add(&sum, acc, tables[k][digit - 1]);
-      P1P1ToP3(&acc, sum);
-    }
-  }
-  *out = acc;
+/// h += e * radix16[row], e in [-8, 8].
+void AddRadix16(P3* h, const Curve& c, int row, int8_t e) {
+  if (e == 0) return;
+  const Precomp& entry = c.radix16[row][(e > 0 ? e : -e) - 1];
+  P1P1 r;
+  P3MAdd(&r, *h, e > 0 ? entry : PrecompNeg(entry));
+  P1P1ToP3(h, r);
 }
 
+/// out = [scalar]B for a 32-byte little-endian scalar below 2^255.
 void ScalarMulBase(P3* out, const uint8_t scalar[32]) {
-  MsmTerm term{&GetCurve().base, scalar};
-  MultiScalarMul(out, &term, 1);
+  const Curve& c = GetCurve();
+  int8_t e[64];
+  for (int i = 0; i < 32; ++i) {
+    e[2 * i] = static_cast<int8_t>(scalar[i] & 15);
+    e[2 * i + 1] = static_cast<int8_t>(scalar[i] >> 4);
+  }
+  // Recentre each nibble into [-8, 8) by carrying into the next one.
+  int8_t carry = 0;
+  for (int i = 0; i < 63; ++i) {
+    e[i] = static_cast<int8_t>(e[i] + carry);
+    carry = static_cast<int8_t>((e[i] + 8) >> 4);
+    e[i] = static_cast<int8_t>(e[i] - carry * 16);
+  }
+  e[63] = static_cast<int8_t>(e[63] + carry);  // <= 8 since scalar < 2^255.
+
+  P3Identity(out);
+  for (int i = 1; i < 64; i += 2) AddRadix16(out, c, i / 2, e[i]);
+  P1P1 r;
+  P2 s{out->x, out->y, out->z};
+  for (int k = 0; k < 4; ++k) {
+    P2Dbl(&r, s);
+    if (k < 3) P1P1ToP2(&s, r);
+  }
+  P1P1ToP3(out, r);
+  for (int i = 0; i < 64; i += 2) AddRadix16(out, c, i / 2, e[i]);
+}
+
+// ------------------------------------------------- Multi-scalar multiply
+// Variable-time interleaved Straus over width-5 NAF digits: one shared
+// chain of ~253 doublings however many (point, scalar) terms take part —
+// the batch-verification speedup lives here — and, per term, one
+// addition per nonzero digit (about one in six positions) from an
+// eight-entry table of odd multiples.
+
+/// Width-5 NAF (see internal_ed25519::NafRecode for the contract).
+void NafDigits(int8_t naf[256], const uint8_t scalar[32]) {
+  u64 words[5] = {0, 0, 0, 0, 0};
+  for (int i = 0; i < 32; ++i)
+    words[i / 8] |= static_cast<u64>(scalar[i]) << (8 * (i % 8));
+  std::memset(naf, 0, 256);
+  constexpr u64 kWidth = 32;  // 2^5
+  u64 carry = 0;
+  int pos = 0;
+  while (pos < 256) {
+    const int word = pos / 64, bit = pos % 64;
+    u64 bits = words[word] >> bit;
+    if (bit > 64 - 5) bits |= words[word + 1] << (64 - bit);
+    const u64 window = carry + (bits & (kWidth - 1));
+    if ((window & 1) == 0) {
+      ++pos;
+      continue;
+    }
+    if (window < kWidth / 2) {
+      carry = 0;
+      naf[pos] = static_cast<int8_t>(window);
+    } else {
+      carry = 1;
+      naf[pos] = static_cast<int8_t>(static_cast<int>(window) - 32);
+    }
+    pos += 5;
+  }
+}
+
+/// One variable-base term: its NAF digits and the odd-multiple table of
+/// its point.
+struct NafTerm {
+  const Cached* table;  // table[j] = (2j+1) * point
+  int8_t naf[256];
+};
+
+/// out = [b_scalar]B + sum_k [scalar_k] point_k, as a projective point.
+void MultiScalarMul(P2* out, const uint8_t b_scalar[32], const NafTerm* terms,
+                    size_t n) {
+  const Curve& c = GetCurve();
+  int8_t b_naf[256];
+  NafDigits(b_naf, b_scalar);
+  int top = 255;
+  auto zero_column = [&](int i) {
+    if (b_naf[i] != 0) return false;
+    for (size_t k = 0; k < n; ++k)
+      if (terms[k].naf[i] != 0) return false;
+    return true;
+  };
+  while (top >= 0 && zero_column(top)) --top;
+
+  *out = P2{kFeZero, kFeOne, kFeOne};
+  P1P1 t;
+  P3 u;
+  for (int i = top; i >= 0; --i) {
+    P2Dbl(&t, *out);
+    for (size_t k = 0; k < n; ++k) {
+      const int d = terms[k].naf[i];
+      if (d == 0) continue;
+      P1P1ToP3(&u, t);
+      if (d > 0) {
+        P3Add(&t, u, terms[k].table[d / 2]);
+      } else {
+        P3Add(&t, u, CachedNeg(terms[k].table[-d / 2]));
+      }
+    }
+    if (const int d = b_naf[i]; d != 0) {
+      P1P1ToP3(&u, t);
+      P3MAdd(&t, u, d > 0 ? c.base_odd[d / 2] : PrecompNeg(c.base_odd[-d / 2]));
+    }
+    P1P1ToP2(out, t);
+  }
 }
 
 /// h = SHA512(R || A || M) mod L — the Schnorr challenge scalar.
@@ -563,23 +804,15 @@ void ExpandSecret(uint8_t a[32], uint8_t prefix[32], const SecretKey& secret) {
   a[31] |= 64;
 }
 
-}  // namespace
-
-PublicKey DerivePublicKey(const SecretKey& secret) {
-  uint8_t a[32], prefix[32];
-  ExpandSecret(a, prefix, secret);
-  P3 point;
-  ScalarMulBase(&point, a);
-  PublicKey pk;
-  P3Compress(pk.data(), point);
-  return pk;
+PublicKey EncodeP3(const P3& p) {
+  PublicKey out;
+  EncodeXyz(out.data(), p.x, p.y, p.z);
+  return out;
 }
 
-Sig Sign(const SecretKey& secret, const PublicKey& public_key,
-         const uint8_t* data, size_t len) {
-  uint8_t a[32], prefix[32];
-  ExpandSecret(a, prefix, secret);
-
+Sig SignExpanded(const uint8_t a[32], const uint8_t prefix[32],
+                 const PublicKey& public_key, const uint8_t* data,
+                 size_t len) {
   // Deterministic nonce r = SHA512(prefix || M) mod L.
   Sha512 hash;
   hash.Update(prefix, 32);
@@ -591,7 +824,7 @@ Sig Sign(const SecretKey& secret, const PublicKey& public_key,
   P3 r_point;
   ScalarMulBase(&r_point, r);
   Sig sig{};
-  P3Compress(sig.data(), r_point);
+  EncodeXyz(sig.data(), r_point.x, r_point.y, r_point.z);
 
   uint8_t h[32], s[32];
   ChallengeScalar(h, sig.data(), public_key, data, len);
@@ -600,24 +833,88 @@ Sig Sign(const SecretKey& secret, const PublicKey& public_key,
   return sig;
 }
 
+}  // namespace
+
+struct PrecomputedKey {
+  PublicKey public_key{};
+  /// False when public_key is not a canonical curve point encoding.
+  bool valid = false;
+  /// neg_a[j] = -(2j+1) A: Verify adds [h](-A) to [s]B.
+  Cached neg_a[8];
+  bool has_secret = false;
+  uint8_t a[32] = {};
+  uint8_t prefix[32] = {};
+};
+
+namespace {
+
+std::shared_ptr<PrecomputedKey> BuildVerifyKey(const PublicKey& public_key) {
+  auto key = std::make_shared<PrecomputedKey>();
+  key->public_key = public_key;
+  const Curve& c = GetCurve();
+  P3 point;
+  if (!P3Decompress(&point, public_key.data(), c)) return key;
+  P3 neg;
+  P3Neg(&neg, point);
+  OddMultiples(key->neg_a, neg, c);
+  key->valid = true;
+  return key;
+}
+
+}  // namespace
+
+PublicKey DerivePublicKey(const SecretKey& secret) {
+  uint8_t a[32], prefix[32];
+  ExpandSecret(a, prefix, secret);
+  P3 point;
+  ScalarMulBase(&point, a);
+  return EncodeP3(point);
+}
+
+std::shared_ptr<const PrecomputedKey> PrecomputeSigningKey(
+    const SecretKey& secret) {
+  std::shared_ptr<PrecomputedKey> key =
+      BuildVerifyKey(DerivePublicKey(secret));
+  ExpandSecret(key->a, key->prefix, secret);
+  key->has_secret = true;
+  return key;
+}
+
+std::shared_ptr<const PrecomputedKey> PrecomputeVerifyKey(
+    const PublicKey& public_key) {
+  return BuildVerifyKey(public_key);
+}
+
+Sig Sign(const SecretKey& secret, const PublicKey& public_key,
+         const uint8_t* data, size_t len) {
+  uint8_t a[32], prefix[32];
+  ExpandSecret(a, prefix, secret);
+  return SignExpanded(a, prefix, public_key, data, len);
+}
+
+Sig Sign(const PrecomputedKey& key, const uint8_t* data, size_t len) {
+  MASSBFT_CHECK(key.has_secret);
+  return SignExpanded(key.a, key.prefix, key.public_key, data, len);
+}
+
 bool Verify(const PublicKey& public_key, const uint8_t* data, size_t len,
             const Sig& sig) {
-  if (!ScIsCanonical(sig.data() + 32)) return false;
-  const Curve& curve = GetCurve();
-  P3 a_point;
-  if (!P3Decompress(&a_point, public_key.data(), curve)) return false;
+  return Verify(*BuildVerifyKey(public_key), data, len, sig);
+}
 
-  uint8_t h[32];
-  ChallengeScalar(h, sig.data(), public_key, data, len);
-
+bool Verify(const PrecomputedKey& key, const uint8_t* data, size_t len,
+            const Sig& sig) {
+  if (!key.valid || !ScIsCanonical(sig.data() + 32)) return false;
   // R' = [s]B - [h]A must re-encode to the signature's R bytes.
-  P3 neg_a;
-  P3Neg(&neg_a, a_point);
-  MsmTerm terms[2] = {{&curve.base, sig.data() + 32}, {&neg_a, h}};
-  P3 r_check;
-  MultiScalarMul(&r_check, terms, 2);
+  uint8_t h[32];
+  ChallengeScalar(h, sig.data(), key.public_key, data, len);
+  NafTerm term;
+  term.table = key.neg_a;
+  NafDigits(term.naf, h);
+  P2 r_check;
+  MultiScalarMul(&r_check, sig.data() + 32, &term, 1);
   uint8_t r_bytes[32];
-  P3Compress(r_bytes, r_check);
+  EncodeXyz(r_bytes, r_check.x, r_check.y, r_check.z);
   return std::memcmp(r_bytes, sig.data(), 32) == 0;
 }
 
@@ -625,7 +922,18 @@ bool VerifyBatch(const std::vector<BatchItem>& items, const uint8_t* data,
                  size_t len) {
   const size_t n = items.size();
   if (n == 0) return true;
-  if (n == 1) return Verify(*items[0].public_key, data, len, *items[0].sig);
+
+  // Raw-byte items get a per-call key; precomputed ones are used as is.
+  std::vector<std::shared_ptr<const PrecomputedKey>> owned;
+  std::vector<const PrecomputedKey*> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = items[i].key;
+    if (keys[i] == nullptr) {
+      owned.push_back(BuildVerifyKey(*items[i].public_key));
+      keys[i] = owned.back().get();
+    }
+  }
+  if (n == 1) return Verify(*keys[0], data, len, *items[0].sig);
   const Curve& curve = GetCurve();
 
   // Deterministic 128-bit combination coefficients z_i: a transcript hash
@@ -635,59 +943,93 @@ bool VerifyBatch(const std::vector<BatchItem>& items, const uint8_t* data,
   Sha512 transcript;
   transcript.Update("massbft-ed25519-batch-v1");
   transcript.Update(data, len);
-  for (const BatchItem& item : items) {
-    transcript.Update(item.public_key->data(), item.public_key->size());
-    transcript.Update(item.sig->data(), item.sig->size());
+  for (size_t i = 0; i < n; ++i) {
+    transcript.Update(keys[i]->public_key.data(), keys[i]->public_key.size());
+    transcript.Update(items[i].sig->data(), items[i].sig->size());
   }
   const Digest512 seed = transcript.Finish();
 
-  // Decompress everything up front; any malformed encoding fails the
-  // batch (the scalar fallback then pinpoints it).
-  std::vector<P3> neg_r(n), neg_a(n);
+  // Decompress every R up front; any malformed encoding fails the batch
+  // (the scalar fallback then pinpoints it).
+  std::vector<std::array<Cached, 8>> neg_r(n);
   for (size_t i = 0; i < n; ++i) {
-    if (!ScIsCanonical(items[i].sig->data() + 32)) return false;
-    P3 point;
-    if (!P3Decompress(&point, items[i].sig->data(), curve)) return false;
-    P3Neg(&neg_r[i], point);
-    if (!P3Decompress(&point, items[i].public_key->data(), curve))
+    if (!keys[i]->valid || !ScIsCanonical(items[i].sig->data() + 32))
       return false;
-    P3Neg(&neg_a[i], point);
+    P3 point, neg;
+    if (!P3Decompress(&point, items[i].sig->data(), curve)) return false;
+    P3Neg(&neg, point);
+    OddMultiples(neg_r[i].data(), neg, curve);
   }
 
   uint8_t zero[32] = {0};
   uint8_t b_scalar[32] = {0};  // sum_i z_i s_i mod L.
-  std::vector<std::array<uint8_t, 32>> z(n), zh(n);
+  std::vector<NafTerm> terms(2 * n);
   for (size_t i = 0; i < n; ++i) {
     Sha512 zi_hash;
     zi_hash.Update(seed.data(), seed.size());
     const uint8_t index = static_cast<uint8_t>(i);
     zi_hash.Update(&index, 1);
     const Digest512 zi = zi_hash.Finish();
-    z[i].fill(0);
-    std::memcpy(z[i].data(), zi.data(), 16);  // z_i in [0, 2^128).
+    uint8_t z[32] = {0};
+    std::memcpy(z, zi.data(), 16);  // z_i in [0, 2^128).
 
-    uint8_t h[32];
-    ChallengeScalar(h, items[i].sig->data(), *items[i].public_key, data, len);
-    ScMulAdd(zh[i].data(), z[i].data(), h, zero);          // z_i h_i
-    ScMulAdd(b_scalar, z[i].data(), items[i].sig->data() + 32,
-             b_scalar);                                    // += z_i s_i
+    uint8_t h[32], zh[32];
+    ChallengeScalar(h, items[i].sig->data(), keys[i]->public_key, data, len);
+    ScMulAdd(zh, z, h, zero);                                   // z_i h_i
+    ScMulAdd(b_scalar, z, items[i].sig->data() + 32, b_scalar);  // += z_i s_i
+    terms[2 * i].table = neg_r[i].data();
+    NafDigits(terms[2 * i].naf, z);
+    terms[2 * i + 1].table = keys[i]->neg_a;
+    NafDigits(terms[2 * i + 1].naf, zh);
   }
 
-  // [sum z_i s_i]B - sum [z_i]R_i - sum [z_i h_i]A_i == identity.
-  std::vector<MsmTerm> terms;
-  terms.reserve(2 * n + 1);
-  terms.push_back({&curve.base, b_scalar});
-  for (size_t i = 0; i < n; ++i) {
-    terms.push_back({&neg_r[i], z[i].data()});
-    terms.push_back({&neg_a[i], zh[i].data()});
-  }
-  P3 result;
-  MultiScalarMul(&result, terms.data(), terms.size());
-  uint8_t encoded[32];
-  P3Compress(encoded, result);
-  constexpr uint8_t kIdentity[32] = {1};
-  return std::memcmp(encoded, kIdentity, 32) == 0;
+  // [sum z_i s_i]B - sum [z_i]R_i - sum [z_i h_i]A_i == identity, i.e.
+  // X == 0 and Y == Z projectively.
+  P2 result;
+  MultiScalarMul(&result, b_scalar, terms.data(), terms.size());
+  return FeIsZero(result.x) && FeEqual(result.y, result.z);
 }
 
 }  // namespace ed25519
+
+// ------------------------------------------------------------ Test seams
+
+namespace internal_ed25519 {
+
+using ed25519::Cached;
+using ed25519::P1P1;
+
+Point IdentityPoint() {
+  Point p;
+  ed25519::P3Identity(&p);
+  return p;
+}
+
+Point BasePoint() { return ed25519::GetCurve().base; }
+
+Point AddPoints(const Point& p, const Point& q) {
+  Cached cached;
+  ed25519::P3ToCached(&cached, q, ed25519::GetCurve());
+  P1P1 sum;
+  ed25519::P3Add(&sum, p, cached);
+  Point r;
+  ed25519::P1P1ToP3(&r, sum);
+  return r;
+}
+
+Point DoublePoint(const Point& p) { return ed25519::P3Double(p); }
+
+ed25519::PublicKey EncodePoint(const Point& p) { return ed25519::EncodeP3(p); }
+
+ed25519::PublicKey ScalarMulBase(const uint8_t scalar[32]) {
+  Point p;
+  ed25519::ScalarMulBase(&p, scalar);
+  return ed25519::EncodeP3(p);
+}
+
+void NafRecode(int8_t naf[256], const uint8_t scalar[32]) {
+  ed25519::NafDigits(naf, scalar);
+}
+
+}  // namespace internal_ed25519
 }  // namespace massbft

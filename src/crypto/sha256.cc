@@ -219,6 +219,7 @@ void Sha256::Reset() {
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
+  if (len == 0) return;  // `data` may be null for an empty message.
   bit_count_ += static_cast<uint64_t>(len) * 8;
   const auto fn = internal_sha256::MutableDispatch().fn;
   if (buffer_len_ > 0) {

@@ -105,6 +105,7 @@ void Sha512::ProcessBlock(const uint8_t* block) {
 }
 
 void Sha512::Update(const uint8_t* data, size_t len) {
+  if (len == 0) return;  // `data` may be null for an empty message.
   byte_count_ += len;
   if (buffer_len_ > 0) {
     size_t take = std::min(len, sizeof(buffer_) - buffer_len_);

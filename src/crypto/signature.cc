@@ -43,7 +43,7 @@ KeyPair SimulatedHmacScheme::DeriveKeyPair(NodeId node) const {
   Digest d = Sha256::Hash(seed);
   KeyPair kp;
   kp.secret = Bytes(d.begin(), d.end());
-  return kp;  // pub stays empty: HMAC verification is symmetric.
+  return kp;
 }
 
 Signature SimulatedHmacScheme::Sign(const KeyPair& key, const uint8_t* data,
@@ -78,30 +78,22 @@ KeyPair Ed25519Scheme::DeriveKeyPair(NodeId node) const {
 
   ed25519::SecretKey secret;
   std::memcpy(secret.data(), d.data(), secret.size());
-  ed25519::PublicKey pub = ed25519::DerivePublicKey(secret);
 
   KeyPair kp;
-  kp.secret = Bytes(secret.begin(), secret.end());
-  kp.pub = Bytes(pub.begin(), pub.end());
+  kp.precomputed = ed25519::PrecomputeSigningKey(secret);
   return kp;
 }
 
 Signature Ed25519Scheme::Sign(const KeyPair& key, const uint8_t* data,
                               size_t len) const {
-  MASSBFT_CHECK(key.secret.size() == 32 && key.pub.size() == 32);
-  ed25519::SecretKey secret;
-  ed25519::PublicKey pub;
-  std::memcpy(secret.data(), key.secret.data(), secret.size());
-  std::memcpy(pub.data(), key.pub.data(), pub.size());
-  return ed25519::Sign(secret, pub, data, len);
+  MASSBFT_CHECK(key.precomputed != nullptr);
+  return ed25519::Sign(*key.precomputed, data, len);
 }
 
 bool Ed25519Scheme::Verify(const KeyPair& key, const uint8_t* data, size_t len,
                            const Signature& sig) const {
-  if (key.pub.size() != 32) return false;
-  ed25519::PublicKey pub;
-  std::memcpy(pub.data(), key.pub.data(), pub.size());
-  return ed25519::Verify(pub, data, len, sig);
+  if (key.precomputed == nullptr) return false;
+  return ed25519::Verify(*key.precomputed, data, len, sig);
 }
 
 bool Ed25519Scheme::VerifyBatch(const std::vector<const KeyPair*>& keys,
@@ -109,12 +101,11 @@ bool Ed25519Scheme::VerifyBatch(const std::vector<const KeyPair*>& keys,
                                 const std::vector<const Signature*>& sigs)
     const {
   MASSBFT_CHECK(keys.size() == sigs.size());
-  std::vector<ed25519::PublicKey> pubs(keys.size());
   std::vector<ed25519::BatchItem> items(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (keys[i]->pub.size() != 32) return false;
-    std::memcpy(pubs[i].data(), keys[i]->pub.data(), pubs[i].size());
-    items[i] = {&pubs[i], sigs[i]};  // Signature IS ed25519::Sig (64 bytes).
+    if (keys[i]->precomputed == nullptr) return false;
+    // Signature IS ed25519::Sig (64 bytes).
+    items[i] = {nullptr, sigs[i], keys[i]->precomputed.get()};
   }
   return ed25519::VerifyBatch(items, data, len);
 }
@@ -161,8 +152,9 @@ void KeyRegistry::RegisterNode(NodeId node) {
     MutexLock lock(&keys_mu_);
     if (keys_.contains(packed)) return;
   }
-  // Derivation (for ed25519: a base-point scalar multiplication) runs
-  // outside the lock; a benign double-derive races to the same value.
+  // Derivation (for ed25519: a fixed-base multiply plus the key's -A
+  // table) runs outside the lock; a benign double-derive races to the
+  // same value.
   KeyPair kp = scheme_->DeriveKeyPair(node);
   MutexLock lock(&keys_mu_);
   keys_.try_emplace(packed, std::move(kp));

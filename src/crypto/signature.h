@@ -16,6 +16,10 @@
 
 namespace massbft {
 
+namespace ed25519 {
+struct PrecomputedKey;
+}  // namespace ed25519
+
 /// Globally unique node identifier: (group id, node index within group)
 /// packed into 32 bits. Group ids and node indices are small (<= 2^16).
 struct NodeId {
@@ -56,12 +60,15 @@ enum class CryptoScheme {
 /// Short stable name for logs / result JSON ("hmac-sim" / "ed25519").
 [[nodiscard]] const char* CryptoSchemeName(CryptoScheme scheme);
 
-/// One node's key material. `secret` is backend-defined (HMAC key or
-/// ed25519 seed); `pub` is empty for HMAC (verification is symmetric) and
-/// the 32-byte compressed public point for ed25519.
+/// One node's key material; each backend fills only its own field.
 struct KeyPair {
+  /// HMAC key (empty for ed25519; verification is symmetric).
   Bytes secret;
-  Bytes pub;
+  /// ed25519 key (null for HMAC): the public key decompressed once into
+  /// -A's odd-multiple table, plus the expanded secret. Immutable and
+  /// built before the key enters a KeyRegistry, so concurrent signers and
+  /// verifiers read it without a lock.
+  std::shared_ptr<const ed25519::PrecomputedKey> precomputed;
 };
 
 /// Backend seam: everything KeyRegistry needs from a signature algorithm.

@@ -539,9 +539,11 @@ void TcpTransport::IoLoop() {
       [[maybe_unused]] ssize_t n = ::read(wake_pipe_[0], &byte, 1);
     }
 
-    // Walk connections back-to-front so erasing doesn't shift unvisited
-    // entries. fds[i + 2] corresponds to conns[i].
-    for (size_t i = conns.size(); i-- > 0;) {
+    // Walk the polled connections back-to-front so erasing doesn't shift
+    // unvisited entries; fds[i + 2] corresponds to conns[i]. A connection
+    // accepted above has no poll slot yet and waits for the next round.
+    const size_t polled = fds.size() - 2;
+    for (size_t i = polled; i-- > 0;) {
       if (!(fds[i + 2].revents & (POLLIN | POLLHUP | POLLERR))) continue;
       if (!ReadAndDeliver(conns[i])) {
         CloseFd(conns[i].fd);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -426,6 +428,196 @@ TEST(Ed25519Test, BatchVerifiesAndPinpointsForgery) {
   EXPECT_TRUE(ed25519::VerifyBatch({}, digest.data(), digest.size()));
   std::vector<ed25519::BatchItem> one = {{&pks[0], &sigs[0]}};
   EXPECT_TRUE(ed25519::VerifyBatch(one, digest.data(), digest.size()));
+}
+
+TEST(Ed25519Test, GoldenSignatureDigest) {
+  // 256 (public key, signature) pairs over distinct keys and message
+  // lengths 0..255, hashed together. RFC 8032 signing is deterministic, so
+  // any kernel rewrite must reproduce this digest byte for byte.
+  Sha256 acc;
+  for (int i = 0; i < 256; ++i) {
+    const Digest seed = Sha256::Hash("golden-key:" + std::to_string(i));
+    ed25519::SecretKey secret;
+    std::memcpy(secret.data(), seed.data(), secret.size());
+    const ed25519::PublicKey pk = ed25519::DerivePublicKey(secret);
+    const Bytes msg(static_cast<size_t>(i), static_cast<uint8_t>(7 * i + 1));
+    const ed25519::Sig sig =
+        ed25519::Sign(secret, pk, msg.data(), msg.size());
+    acc.Update(pk.data(), pk.size());
+    acc.Update(sig.data(), sig.size());
+  }
+  EXPECT_EQ(DigestToHex(acc.Finish()),
+            "0bbf85bcbb60b055195dc41dc8beb633f4fec7ee83fa3a132ef272364d176319");
+}
+
+// ------------------------------------------------- Kernel vs oracle
+// The fast paths (fixed-base table, NAF recoding, per-key tables, batch
+// multi-scalar multiply) cross-checked against plain reference algorithms.
+
+/// [scalar]B by MSB-first double-and-add over the generic group law.
+internal_ed25519::Point DoubleAndAdd(const uint8_t scalar[32]) {
+  using namespace internal_ed25519;
+  Point acc = IdentityPoint();
+  const Point base = BasePoint();
+  for (int bit = 255; bit >= 0; --bit) {
+    acc = DoublePoint(acc);
+    if ((scalar[bit / 8] >> (bit % 8)) & 1) acc = AddPoints(acc, base);
+  }
+  return acc;
+}
+
+/// Seeded scalars below 2^255 plus the edge cases the kernels must
+/// handle: 0, 1, L-1, 2^252 and the largest clamped secret 2^255 - 8.
+std::vector<std::array<uint8_t, 32>> KernelTestScalars(int random_count) {
+  std::vector<std::array<uint8_t, 32>> scalars;
+  std::array<uint8_t, 32> s{};
+  scalars.push_back(s);  // 0
+  s[0] = 1;
+  scalars.push_back(s);  // 1
+  s = {0xec, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+       0xa2, 0xde, 0xf9, 0xde, 0x14, 0,    0,    0,    0,    0,    0,
+       0,    0,    0,    0,    0,    0,    0,    0,    0,    0x10};
+  scalars.push_back(s);  // L - 1
+  s = {};
+  s[31] = 0x10;
+  scalars.push_back(s);  // 2^252
+  s.fill(0xff);
+  s[0] = 0xf8;
+  s[31] = 0x7f;
+  scalars.push_back(s);  // 2^255 - 8
+  Rng rng(0xED25519);
+  for (int i = 0; i < random_count; ++i) {
+    for (uint8_t& b : s) b = static_cast<uint8_t>(rng.NextU64());
+    s[31] &= 0x7f;
+    scalars.push_back(s);
+  }
+  return scalars;
+}
+
+TEST(Ed25519Test, FixedBaseMatchesDoubleAndAdd) {
+  for (const auto& s : KernelTestScalars(1000)) {
+    ASSERT_EQ(internal_ed25519::ScalarMulBase(s.data()),
+              internal_ed25519::EncodePoint(DoubleAndAdd(s.data())))
+        << "scalar " << ToHex(s.data(), s.size());
+  }
+}
+
+TEST(Ed25519Test, NafRecodingReconstructsItsScalar) {
+  for (const auto& s : KernelTestScalars(1000)) {
+    int8_t naf[256];
+    internal_ed25519::NafRecode(naf, s.data());
+    int64_t acc[33] = {0};  // sum naf[i] 2^i in base-256 digits
+    int last = -5;
+    for (int i = 0; i < 256; ++i) {
+      if (naf[i] == 0) continue;
+      ASSERT_NE(naf[i] % 2, 0) << "even digit at " << i;
+      ASSERT_LE(std::abs(naf[i]), 15) << "digit out of range at " << i;
+      ASSERT_GE(i - last, 5) << "adjacent nonzero digits at " << i;
+      last = i;
+      acc[i / 8] += static_cast<int64_t>(naf[i]) * (int64_t{1} << (i % 8));
+    }
+    for (int j = 0; j < 32; ++j) {
+      const int64_t carry = acc[j] >> 8;  // floor division
+      acc[j] -= carry * 256;
+      acc[j + 1] += carry;
+      ASSERT_EQ(acc[j], s[j]) << "byte " << j;
+    }
+    ASSERT_EQ(acc[32], 0);
+  }
+}
+
+TEST(Ed25519Test, PrecomputedKeyAgreesWithRawKey) {
+  const Bytes msg = ToBytes("precomputed vs raw");
+  const Bytes other = ToBytes("precomputed vs raW");
+  for (uint8_t seed = 1; seed <= 8; ++seed) {
+    ed25519::SecretKey secret{};
+    secret[0] = seed;
+    const ed25519::PublicKey pk = ed25519::DerivePublicKey(secret);
+    const auto signing = ed25519::PrecomputeSigningKey(secret);
+    const auto verifying = ed25519::PrecomputeVerifyKey(pk);
+    const ed25519::Sig sig = ed25519::Sign(*signing, msg.data(), msg.size());
+    EXPECT_EQ(sig, ed25519::Sign(secret, pk, msg.data(), msg.size()));
+
+    ed25519::Sig bad_s = sig;
+    bad_s[40] ^= 0x04;
+    ed25519::Sig bad_r = sig;
+    bad_r[3] ^= 0x80;
+    for (const ed25519::Sig& candidate : {sig, bad_s, bad_r}) {
+      for (const Bytes* m : {&msg, &other}) {
+        const bool raw = ed25519::Verify(pk, m->data(), m->size(), candidate);
+        EXPECT_EQ(ed25519::Verify(*signing, m->data(), m->size(), candidate),
+                  raw);
+        EXPECT_EQ(ed25519::Verify(*verifying, m->data(), m->size(), candidate),
+                  raw);
+      }
+    }
+  }
+
+  // Keys that are not canonical curve points: both paths reject. y = 2 is
+  // not on the curve ((y^2 - 1) / (d y^2 + 1) is a non-square); the second
+  // encoding is y = p + 1; y = 3..6 are points, so the loop covers both
+  // outcomes of decompression.
+  ed25519::SecretKey secret{};
+  secret[0] = 3;
+  const ed25519::PublicKey pk = ed25519::DerivePublicKey(secret);
+  const ed25519::Sig sig = ed25519::Sign(secret, pk, msg.data(), msg.size());
+  ed25519::PublicKey non_canonical;
+  non_canonical.fill(0xFF);
+  non_canonical[0] = 0xEE;
+  non_canonical[31] = 0x7F;
+  std::vector<ed25519::PublicKey> odd_keys = {non_canonical};
+  for (uint8_t y = 2; y <= 6; ++y) {
+    ed25519::PublicKey key{};
+    key[0] = y;
+    odd_keys.push_back(key);
+  }
+  for (const ed25519::PublicKey& key : odd_keys) {
+    const bool raw = ed25519::Verify(key, msg.data(), msg.size(), sig);
+    EXPECT_FALSE(raw);
+    EXPECT_EQ(ed25519::Verify(*ed25519::PrecomputeVerifyKey(key), msg.data(),
+                              msg.size(), sig),
+              raw);
+  }
+}
+
+TEST(Ed25519Test, BatchForgeryAtEachIndexIsCaughtAndNamed) {
+  const Bytes digest = ToBytes("certificate digest for forgeries");
+  constexpr int kN = 7;
+  std::vector<std::shared_ptr<const ed25519::PrecomputedKey>> keys;
+  std::vector<ed25519::PublicKey> pks(kN);
+  std::vector<ed25519::Sig> sigs(kN);
+  for (int i = 0; i < kN; ++i) {
+    ed25519::SecretKey secret{};
+    secret[0] = static_cast<uint8_t>(100 + i);
+    keys.push_back(ed25519::PrecomputeSigningKey(secret));
+    pks[i] = ed25519::DerivePublicKey(secret);
+    sigs[i] = ed25519::Sign(*keys[i], digest.data(), digest.size());
+  }
+  // Alternate precomputed and raw-byte items so both key paths take part.
+  std::vector<ed25519::BatchItem> items(kN);
+  for (int i = 0; i < kN; ++i) {
+    items[i] = i % 2 == 0 ? ed25519::BatchItem{nullptr, &sigs[i], keys[i].get()}
+                          : ed25519::BatchItem{&pks[i], &sigs[i], nullptr};
+  }
+  ASSERT_TRUE(ed25519::VerifyBatch(items, digest.data(), digest.size()));
+
+  const Bytes wrong = ToBytes("a different digest, same length.");
+  for (int forged = 0; forged < kN; ++forged) {
+    const ed25519::Sig honest = sigs[forged];
+    // A valid signature over the wrong message: well-formed, so only the
+    // group equation can catch it.
+    sigs[forged] = ed25519::Sign(*keys[forged], wrong.data(), wrong.size());
+    EXPECT_FALSE(ed25519::VerifyBatch(items, digest.data(), digest.size()))
+        << "forgery at " << forged;
+    for (int i = 0; i < kN; ++i) {
+      EXPECT_EQ(ed25519::Verify(*keys[i], digest.data(), digest.size(),
+                                sigs[i]),
+                i != forged)
+          << "forgery at " << forged << ", checked " << i;
+    }
+    sigs[forged] = honest;
+  }
+  EXPECT_TRUE(ed25519::VerifyBatch(items, digest.data(), digest.size()));
 }
 
 // ----------------------------------------------------- SignatureScheme seam

@@ -1172,5 +1172,53 @@ TEST(TcpTransportTest, PartialWriteResumeAcrossBatchBoundaries) {
   b.Stop();
 }
 
+/// A peer that connects while the receiver is already draining another
+/// connection: the accept lands in a poll round whose fd set does not yet
+/// include the new socket, so that round may only walk the connections it
+/// polled. (Walking the new one read one slot past the poll set, which
+/// -D_GLIBCXX_ASSERTIONS turns into an abort.) Both streams must arrive
+/// whole and in order.
+TEST(TcpTransportTest, AcceptDuringBusyPollRoundKeepsEveryStream) {
+  TcpTransport::Options options;
+  options.max_queue_frames = 8192;
+  TcpPortMap ports = MustMakePortMap({3}, /*base=*/19491);
+  TcpTransport a(NodeId{0, 0}, ports, options);
+  TcpTransport b(NodeId{0, 1}, ports, options);
+  TcpTransport c(NodeId{0, 2}, ports, options);
+  Sink sink_a, sink_b, sink_c;
+  ASSERT_TRUE(a.Start(sink_a.fn()).ok());
+  ASSERT_TRUE(b.Start(sink_b.fn()).ok());
+  ASSERT_TRUE(c.Start(sink_c.fn()).ok());
+
+  // b's stream keeps a's existing connection readable while c dials in
+  // halfway through.
+  constexpr uint64_t kCount = 2000;
+  for (uint64_t i = 0; i < kCount; ++i) {
+    GroupHeartbeatMsg from_b(1, i);
+    while (!b.Send(NodeId{0, 0}, from_b).ok()) std::this_thread::yield();
+    if (i >= kCount / 2) {
+      GroupHeartbeatMsg from_c(2, i - kCount / 2);
+      while (!c.Send(NodeId{0, 0}, from_c).ok()) std::this_thread::yield();
+    }
+  }
+  ASSERT_TRUE(sink_a.WaitForCount(kCount + kCount / 2));
+
+  std::lock_guard<std::mutex> lock(sink_a.mu);
+  uint64_t next[2] = {0, 0};
+  for (const Frame& frame : sink_a.frames) {
+    const auto& beat = static_cast<const GroupHeartbeatMsg&>(*frame.msg);
+    const size_t sender = frame.src.index - 1;
+    ASSERT_LT(sender, 2u);
+    ASSERT_EQ(beat.last_seq(), next[sender]) << "from node " << frame.src.index;
+    ++next[sender];
+  }
+  EXPECT_EQ(next[0], kCount);
+  EXPECT_EQ(next[1], kCount / 2);
+  EXPECT_EQ(a.stats().decode_errors, 0u);
+  a.Stop();
+  b.Stop();
+  c.Stop();
+}
+
 }  // namespace
 }  // namespace massbft
