@@ -16,8 +16,10 @@
 // writes the schema-versioned perf-trajectory document
 // (core/bench_baseline.h) that BENCH_crypto.json tracks;
 // tools/obs/compare_bench.py diffs two such documents (metric names end
-// in per_sec, so higher is better).
+// in per_sec, so higher is better). Every figure is the median of
+// kRepetitions timed windows.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -80,20 +82,32 @@ struct OpResult {
   double per_sec = 0;
 };
 
+/// Timed repetitions per measurement. On a shared VM a single window of
+/// a few tens of milliseconds swung 2-3x between runs of unchanged code;
+/// the median of several windows is steady enough to compare a change
+/// against its parent.
+constexpr int kRepetitions = 7;
+
 /// Times `iters` calls of `op`, where each call covers `ops_per_iter`
 /// per-signature operations (1 for scalar paths, the batch width for
-/// batched ones). One untimed warmup call primes caches and tables.
+/// batched ones), kRepetitions times, and returns the median window. One
+/// untimed warmup call primes caches and tables.
 OpResult TimeOp(uint64_t iters, uint64_t ops_per_iter,
                 const std::function<void()>& op) {
   op();  // Warmup.
-  auto start = std::chrono::steady_clock::now();
-  for (uint64_t i = 0; i < iters; ++i) op();
-  auto end = std::chrono::steady_clock::now();
-  OpResult r;
-  r.ops = iters * ops_per_iter;
-  r.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
-  r.per_sec = 1000.0 * static_cast<double>(r.ops) / r.wall_ms;
-  return r;
+  std::vector<OpResult> reps(kRepetitions);
+  for (OpResult& r : reps) {
+    auto start = std::chrono::steady_clock::now();
+    for (uint64_t i = 0; i < iters; ++i) op();
+    auto end = std::chrono::steady_clock::now();
+    r.ops = iters * ops_per_iter;
+    r.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
+    r.per_sec = 1000.0 * static_cast<double>(r.ops) / r.wall_ms;
+  }
+  std::sort(reps.begin(), reps.end(), [](const OpResult& a, const OpResult& b) {
+    return a.per_sec < b.per_sec;
+  });
+  return reps[kRepetitions / 2];
 }
 
 struct SchemeResults {

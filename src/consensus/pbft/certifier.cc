@@ -8,11 +8,11 @@
 namespace massbft {
 
 DigestCertifier::DigestCertifier(uint16_t gid, NodeId self, int group_size,
-                                 Callbacks callbacks)
-    : gid_(gid), self_(self), n_(group_size), f_((group_size - 1) / 3),
-      cb_(std::move(callbacks)) {
+                                 uint16_t leader_index, Callbacks callbacks)
+    : gid_(gid), self_(self),
+      voters_{gid, group_size, 2 * ((group_size - 1) / 3) + 1},
+      leader_index_(leader_index), cb_(std::move(callbacks)) {
   MASSBFT_CHECK(self.group == gid);
-  (void)n_;
 }
 
 Digest DigestCertifier::DecisionDigest(const DecisionId& decision) {
@@ -26,64 +26,54 @@ Digest DigestCertifier::DecisionDigest(const DecisionId& decision) {
 }
 
 void DigestCertifier::Start(const DecisionId& decision) {
-  Pending& p = pending_[decision];
-  if (p.votes.contains(self_.index)) return;  // Already started.
-  p.decision = decision;
-  p.initiator = self_;
+  auto [it, inserted] = collecting_.try_emplace(decision);
+  if (!inserted) return;  // Already collecting.
 
   Digest digest = DecisionDigest(decision);
-  Bytes payload(digest.begin(), digest.end());
-  Signature own = cb_.sign(payload);
-  p.votes[self_.index] = own;
-  p.voted = true;
+  Signature own = cb_.sign(Bytes(digest.begin(), digest.end()));
+  it->second.AddVerified(self_.index, own);
   cb_.broadcast(std::make_shared<CertifyRequestMsg>(decision, own));
-
   // Degenerate single-node group: the leader's own share is the quorum.
-  if (!p.certified && static_cast<int>(p.votes.size()) >= quorum()) {
-    p.certified = true;
-    Certificate cert;
-    cert.gid = gid_;
-    cert.digest = digest;
-    cert.AddSignature(self_.index, own);
-    cb_.on_certified(p.decision, std::move(cert));
-  }
+  MaybeCertify(decision, it->second);
+}
+
+void DigestCertifier::MaybeCertify(const DecisionId& decision,
+                                   VoteQuorum& votes) {
+  Digest digest = DecisionDigest(decision);
+  if (!votes.Resolve(voters_, Bytes(digest.begin(), digest.end()),
+                     cb_.verify))
+    return;
+  Certificate cert = votes.MakeCertificate(voters_, digest);
+  collecting_.erase(decision);  // Late shares are dropped unchecked.
+  cb_.on_certified(decision, std::move(cert));
 }
 
 void DigestCertifier::OnMessage(NodeId from, const MessagePtr& message) {
   if (from.group != gid_) return;
   switch (static_cast<MessageType>(message->type())) {
     case MessageType::kCertifyRequest: {
+      if (from.index != leader_index_) return;  // Only the leader decides.
       const auto& req = static_cast<const CertifyRequestMsg&>(*message);
       Digest digest = DecisionDigest(req.decision());
-      Bytes payload(digest.begin(), digest.end());
-      if (!cb_.verify(from, payload, req.sig())) return;
-      Pending& p = pending_[req.decision()];
-      p.decision = req.decision();
-      p.initiator = from;
-      TryVote(p);
+      if (!cb_.verify({from}, Bytes(digest.begin(), digest.end()),
+                      {&req.sig()}))
+        return;
+      if (cb_.can_sign(req.decision())) {
+        Vote(req.decision());
+      } else {
+        deferred_.insert(req.decision());
+      }
       break;
     }
     case MessageType::kCertifyVote: {
       const auto& vote = static_cast<const CertifyVoteMsg&>(*message);
-      auto it = pending_.find(vote.decision());
-      if (it == pending_.end()) return;  // We never started this decision.
-      Pending& p = it->second;
-      if (p.certified) return;
+      auto it = collecting_.find(vote.decision());
+      if (it == collecting_.end()) return;  // Not collecting (or done).
       Digest digest = DecisionDigest(vote.decision());
-      Bytes payload(digest.begin(), digest.end());
-      if (!cb_.verify(from, payload, vote.sig())) return;
-      p.votes.emplace(from.index, vote.sig());
-      if (static_cast<int>(p.votes.size()) >= quorum()) {
-        p.certified = true;
-        Certificate cert;
-        cert.gid = gid_;
-        cert.digest = digest;
-        for (const auto& [index, sig] : p.votes) {
-          cert.AddSignature(index, sig);
-          if (static_cast<int>(cert.NumSignatures()) == quorum()) break;
-        }
-        cb_.on_certified(p.decision, std::move(cert));
-      }
+      it->second.AddUnverified(voters_, from.index,
+                               Bytes(digest.begin(), digest.end()), vote.sig(),
+                               cb_.verify);
+      MaybeCertify(vote.decision(), it->second);
       break;
     }
     default:
@@ -92,19 +82,22 @@ void DigestCertifier::OnMessage(NodeId from, const MessagePtr& message) {
   }
 }
 
-void DigestCertifier::TryVote(Pending& p) {
-  if (p.voted) return;
-  if (!cb_.can_sign(p.decision)) return;  // Deferred until state advances.
-  p.voted = true;
-  Digest digest = DecisionDigest(p.decision);
-  Bytes payload(digest.begin(), digest.end());
-  Signature sig = cb_.sign(payload);
-  if (p.initiator == self_) return;  // Leader's own share already recorded.
-  cb_.send_to(p.initiator, std::make_shared<CertifyVoteMsg>(p.decision, sig));
+void DigestCertifier::Vote(const DecisionId& decision) {
+  Digest digest = DecisionDigest(decision);
+  Signature sig = cb_.sign(Bytes(digest.begin(), digest.end()));
+  cb_.send_to(NodeId{gid_, leader_index_},
+              std::make_shared<CertifyVoteMsg>(decision, sig));
 }
 
 void DigestCertifier::RecheckPending() {
-  for (auto& [decision, p] : pending_) TryVote(p);
+  for (auto it = deferred_.begin(); it != deferred_.end();) {
+    if (cb_.can_sign(*it)) {
+      Vote(*it);
+      it = deferred_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 }  // namespace massbft

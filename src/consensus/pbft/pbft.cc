@@ -10,7 +10,7 @@ namespace massbft {
 PbftEngine::PbftEngine(uint16_t gid, NodeId self, int group_size,
                        Callbacks callbacks)
     : gid_(gid), self_(self), n_(group_size), f_((group_size - 1) / 3),
-      cb_(std::move(callbacks)) {
+      voters_{gid, group_size, 2 * f_ + 1}, cb_(std::move(callbacks)) {
   MASSBFT_CHECK(self.group == gid);
   if (cb_.telemetry != nullptr) {
     obs::MetricsRegistry& registry = cb_.telemetry->registry();
@@ -65,8 +65,9 @@ uint64_t PbftEngine::Propose(EntryPtr entry) {
   cb_.broadcast(msg);
   // The leader's pre-prepare stands in for its prepare vote; record it so
   // quorum counting is uniform.
-  inst.prepares[self_.index] =
-      cb_.sign(VotePayload(view_, seq, inst.digest, MessageType::kPrepare));
+  inst.prepares.AddVerified(
+      self_.index,
+      cb_.sign(VotePayload(view_, seq, inst.digest, MessageType::kPrepare)));
   MaybePrepare(seq);
   return seq;
 }
@@ -102,10 +103,10 @@ void PbftEngine::OnPrePrepare(NodeId from, const PrePrepareMsg& msg) {
   if (inst.digest_known) return;  // Duplicate (or equivocation; first wins —
                                   // equivocation cannot gather two quorums).
   const Digest& digest = msg.entry()->digest();
-  if (!cb_.verify(from,
+  if (!cb_.verify({from},
                   VotePayload(msg.view(), msg.seq(), digest,
                               MessageType::kPrePrepare),
-                  msg.sig()))
+                  {&msg.sig()}))
     return;
 
   inst.entry = msg.entry();
@@ -114,7 +115,7 @@ void PbftEngine::OnPrePrepare(NodeId from, const PrePrepareMsg& msg) {
   if (cb_.now) inst.started_at = cb_.now();
   // The pre-prepare stands in for the leader's prepare vote (classic PBFT
   // counts it toward the 2f+1 prepare quorum).
-  inst.prepares.emplace(from.index, msg.sig());
+  inst.prepares.AddVerified(from.index, msg.sig());
   ArmViewChangeTimer(msg.seq());
 
   // Validate the batch (per-transaction signature verification — the
@@ -127,7 +128,7 @@ void PbftEngine::OnPrePrepare(NodeId from, const PrePrepareMsg& msg) {
     inst.validated = true;
     Signature own =
         cb_.sign(VotePayload(view_, seq, inst.digest, MessageType::kPrepare));
-    inst.prepares[self_.index] = own;
+    inst.prepares.AddVerified(self_.index, own);
     cb_.broadcast(std::make_shared<PbftVoteMsg>(MessageType::kPrepare, view_,
                                                 seq, inst.digest, own));
     MaybePrepare(seq);
@@ -138,26 +139,31 @@ void PbftEngine::OnPrePrepare(NodeId from, const PrePrepareMsg& msg) {
 void PbftEngine::OnVote(NodeId from, const PbftVoteMsg& msg) {
   if (msg.view() != view_) return;
   Instance& inst = GetInstance(msg.seq());
-  bool is_prepare = msg.message_type() == MessageType::kPrepare;
-  if (!cb_.verify(from,
-                  VotePayload(msg.view(), msg.seq(), msg.digest(),
-                              msg.message_type()),
-                  msg.sig()))
-    return;
+  // A vote for another digest never counts. One that arrives before the
+  // pre-prepare is held with the digest it claims, and dropped once the
+  // pre-prepare names another.
   if (inst.digest_known && msg.digest() != inst.digest) return;
-
-  auto& votes = is_prepare ? inst.prepares : inst.commits;
-  votes.emplace(from.index, msg.sig());
-  MaybePrepare(msg.seq());
-  MaybeCommit(msg.seq());
+  Bytes payload =
+      VotePayload(msg.view(), msg.seq(), msg.digest(), msg.message_type());
+  if (msg.message_type() == MessageType::kPrepare) {
+    inst.prepares.AddUnverified(voters_, from.index, std::move(payload),
+                                msg.sig(), cb_.verify);
+    MaybePrepare(msg.seq());
+  } else {
+    inst.commits.AddUnverified(voters_, from.index, std::move(payload),
+                               msg.sig(), cb_.verify);
+    MaybeCommit(msg.seq());
+  }
 }
 
 void PbftEngine::MaybePrepare(uint64_t seq) {
   Instance& inst = GetInstance(seq);
   // Prepared: the node has the pre-prepare (digest + validated entry) and
-  // 2f+1 prepare votes (its own included).
+  // 2f+1 verified prepare votes (its own included).
   if (inst.prepared || !inst.validated ||
-      static_cast<int>(inst.prepares.size()) < quorum())
+      !inst.prepares.Resolve(
+          voters_, VotePayload(view_, seq, inst.digest, MessageType::kPrepare),
+          cb_.verify))
     return;
   inst.prepared = true;
   if (cb_.now) {
@@ -167,7 +173,7 @@ void PbftEngine::MaybePrepare(uint64_t seq) {
   }
   Signature own =
       cb_.sign(VotePayload(view_, seq, inst.digest, MessageType::kCommit));
-  inst.commits[self_.index] = own;
+  inst.commits.AddVerified(self_.index, own);
   cb_.broadcast(std::make_shared<PbftVoteMsg>(MessageType::kCommit, view_, seq,
                                               inst.digest, own));
   MaybeCommit(seq);
@@ -176,27 +182,16 @@ void PbftEngine::MaybePrepare(uint64_t seq) {
 void PbftEngine::MaybeCommit(uint64_t seq) {
   Instance& inst = GetInstance(seq);
   if (inst.committed || !inst.prepared ||
-      static_cast<int>(inst.commits.size()) < quorum())
+      !inst.commits.Resolve(
+          voters_, VotePayload(view_, seq, inst.digest, MessageType::kCommit),
+          cb_.verify))
     return;
   inst.committed = true;
   ++committed_count_;
   if (cb_.now)
     ObservePhase("commit", commit_hist_, inst.prepared_at, cb_.now(), seq);
-
-  Certificate cert;
-  cert.gid = gid_;
-  cert.digest = inst.digest;
-  for (const auto& [index, sig] : inst.commits) {
-    cert.AddSignature(index, sig);
-    if (static_cast<int>(cert.NumSignatures()) == quorum()) break;
-  }
-  cb_.on_committed(inst.entry, std::move(cert));
-}
-
-void PbftEngine::BroadcastVote(MessageType phase, uint64_t seq,
-                               const Digest& digest) {
-  Signature sig = cb_.sign(VotePayload(view_, seq, digest, phase));
-  cb_.broadcast(std::make_shared<PbftVoteMsg>(phase, view_, seq, digest, sig));
+  cb_.on_committed(inst.entry,
+                   inst.commits.MakeCertificate(voters_, inst.digest));
 }
 
 void PbftEngine::ArmViewChangeTimer(uint64_t seq) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "consensus/pbft/vote_quorum.h"
 #include "crypto/sha256.h"
 #include "crypto/signature.h"
 #include "obs/telemetry.h"
@@ -30,6 +31,10 @@ namespace massbft {
 /// signatures — the artifact that protects the entry during global
 /// replication.
 ///
+/// Prepare and commit votes are collected in VoteQuorums: stored
+/// unverified, batch-checked only once they can complete 2f+1, and
+/// dropped unchecked once the phase holds its quorum.
+///
 /// View changes: followers arm a timer per in-flight proposal; if the
 /// leader stalls, 2f+1 VIEW-CHANGE votes move the group to view v+1 with
 /// leader node (v+1) mod n, which re-proposes all uncommitted entries it
@@ -43,8 +48,9 @@ class PbftEngine {
     std::function<void(NodeId, MessagePtr)> send_to;
     /// Sign `data` with this node's key, charging CPU.
     std::function<Signature(const Bytes&)> sign;
-    /// Verify a group member's signature, charging CPU.
-    std::function<bool(NodeId, const Bytes&, const Signature&)> verify;
+    /// Verify group members' signatures over one payload in one batch,
+    /// charging CPU per signature (the pre-prepare is a one-element call).
+    VerifySigsFn verify;
     /// Validate a proposed entry's transactions (charges per-transaction
     /// signature verification — the paper's dominant local-consensus cost)
     /// and invoke `done(valid)` when the simulated work completes.
@@ -101,9 +107,10 @@ class PbftEngine {
     bool prepared = false;
     bool committed = false;
     bool commit_broadcast = false;
-    // Votes keyed by node index.
-    std::map<uint16_t, Signature> prepares;
-    std::map<uint16_t, Signature> commits;
+    // Prepare votes (the leader's pre-prepare counts as its prepare) and
+    // commit votes.
+    VoteQuorum prepares;
+    VoteQuorum commits;
     bool timer_armed = false;
     // Observability timestamps (set only when Callbacks::now is wired).
     SimTime started_at = -1;
@@ -118,7 +125,6 @@ class PbftEngine {
   void OnVote(NodeId from, const PbftVoteMsg& msg);
   void MaybePrepare(uint64_t seq);
   void MaybeCommit(uint64_t seq);
-  void BroadcastVote(MessageType phase, uint64_t seq, const Digest& digest);
   void ArmViewChangeTimer(uint64_t seq);
   void OnViewChangeVote(NodeId from, const ViewChangeMsg& msg);
   void EnterView(uint64_t new_view);
@@ -131,6 +137,7 @@ class PbftEngine {
   NodeId self_;
   int n_;
   int f_;
+  VoterSet voters_;
   Callbacks cb_;
 
   uint64_t view_ = 0;

@@ -43,6 +43,13 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
   coded_bytes_counter_ =
       metrics_registry.GetCounter("replication/coded_bytes_sent");
 
+  // Vote and request checks of both local-consensus engines.
+  const VerifySigsFn verify_sigs =
+      [this](const std::vector<NodeId>& nodes, const Bytes& payload,
+             const std::vector<const Signature*>& sigs) {
+        return VerifyNodeSigs(nodes, payload, sigs);
+      };
+
   // ---- Local PBFT engine.
   PbftEngine::Callbacks pbft_cb;
   pbft_cb.now = [this] { return Now(); };
@@ -51,10 +58,7 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
   pbft_cb.broadcast = [this](MessagePtr m) { BroadcastLan(m); };
   pbft_cb.send_to = [this](NodeId dst, MessagePtr m) { SendLan(dst, m); };
   pbft_cb.sign = [this](const Bytes& payload) { return SignPayload(payload); };
-  pbft_cb.verify = [this](NodeId node, const Bytes& payload,
-                          const Signature& sig) {
-    return VerifyNodeSig(node, payload, sig);
-  };
+  pbft_cb.verify = verify_sigs;
   pbft_cb.validate_entry = [this](EntryPtr entry,
                                   std::function<void(bool)> done) {
     ValidateEntryAsync(std::move(entry), std::move(done));
@@ -73,10 +77,7 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
   cert_cb.broadcast = [this](MessagePtr m) { BroadcastLan(m); };
   cert_cb.send_to = [this](NodeId dst, MessagePtr m) { SendLan(dst, m); };
   cert_cb.sign = [this](const Bytes& payload) { return SignPayload(payload); };
-  cert_cb.verify = [this](NodeId node, const Bytes& payload,
-                          const Signature& sig) {
-    return VerifyNodeSig(node, payload, sig);
-  };
+  cert_cb.verify = verify_sigs;
   cert_cb.can_sign = [this](const DecisionId& decision) {
     if (decision.kind == DigestCertifier::kCommitDecision) return true;
     // Accept: a follower signs only once it holds the entry payload —
@@ -94,7 +95,8 @@ GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
     done(std::move(cert));
   };
   certifier_ = std::make_unique<DigestCertifier>(
-      id.group, id, group_size(id.group), std::move(cert_cb));
+      id.group, id, group_size(id.group), LeaderOf(id.group).index,
+      std::move(cert_cb));
 
   if (config_.use_global_raft && IsGroupLeader()) SetupRaft();
   SetupOrdering();
@@ -122,19 +124,22 @@ Signature GroupNode::SignPayload(const Bytes& payload) {
   return ctx_->registry->Sign(id(), payload);
 }
 
-bool GroupNode::VerifyNodeSig(NodeId node, const Bytes& payload,
-                              const Signature& sig) {
-  cpu().ChargeVerify();
-  return ctx_->registry->Verify(node, payload, sig);
+bool GroupNode::VerifyNodeSigs(const std::vector<NodeId>& nodes,
+                               const Bytes& payload,
+                               const std::vector<const Signature*>& sigs) {
+  cpu().ChargeVerify(static_cast<int>(nodes.size()));
+  return ctx_->registry->VerifyBatch(nodes, payload.data(), payload.size(),
+                                     sigs);
 }
 
 bool GroupNode::VerifyGroupCert(const Certificate& cert,
                                 const Digest& digest) {
   if (cert.digest != digest) return false;
   if (cert.gid >= num_groups()) return false;
-  int quorum = 2 * group_f(cert.gid) + 1;
-  cpu().ChargeVerify(static_cast<int>(cert.NumSignatures()));
-  return cert.Verify(*ctx_->registry, quorum);
+  return verified_certs_.Verify(cert, [this](const Certificate& c) {
+    cpu().ChargeVerify(static_cast<int>(c.NumSignatures()));
+    return c.Verify(*ctx_->registry, 2 * group_f(c.gid) + 1);
+  });
 }
 
 void GroupNode::Start() {

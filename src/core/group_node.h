@@ -185,8 +185,13 @@ class GroupNode : public Actor {
 
   // ---- Crypto helpers (charge simulated CPU).
   Signature SignPayload(const Bytes& payload);
-  [[nodiscard]] bool VerifyNodeSig(NodeId node, const Bytes& payload,
-                                   const Signature& sig);
+  /// Group members' signatures over one payload, in one batch.
+  [[nodiscard]] bool VerifyNodeSigs(const std::vector<NodeId>& nodes,
+                                    const Bytes& payload,
+                                    const std::vector<const Signature*>& sigs);
+  /// Checks a group's certificate over `digest`. A certificate equal to
+  /// one this node verified recently is accepted without a second check
+  /// (VerifiedCertMemo); failures are never remembered.
   [[nodiscard]] bool VerifyGroupCert(const Certificate& cert,
                                      const Digest& digest);
 
@@ -269,6 +274,13 @@ class GroupNode : public Actor {
   obs::Counter* conflict_abort_counter_;
   obs::Counter* logic_abort_counter_;
   obs::Counter* coded_bytes_counter_;
+
+  /// Recently verified certificates (VerifyGroupCert). Each group keeps
+  /// at most pipeline_depth entries proposed and not globally committed,
+  /// so that many certificates per group are in flight between a leader's
+  /// check at Raft propose and its check at rebuild.
+  VerifiedCertMemo verified_certs_{
+      static_cast<size_t>(config_.pipeline_depth * num_groups())};
 
   std::unique_ptr<PbftEngine> pbft_;
   std::unique_ptr<DigestCertifier> certifier_;

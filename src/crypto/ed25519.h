@@ -15,8 +15,8 @@ namespace massbft {
 /// §7.1 test vectors in tests/crypto_test.cc. Field arithmetic uses five
 /// 51-bit limbs over unsigned __int128; point arithmetic uses extended
 /// twisted-Edwards coordinates (DESIGN.md §17 describes the kernel: a
-/// fixed-base table for [s]B, width-5 NAF multi-scalar multiplication for
-/// verification, per-key precomputation).
+/// fixed-base table for [s]B, split-scalar width-5 NAF multi-scalar
+/// multiplication for verification, per-key precomputation).
 ///
 /// All arithmetic is variable-time. Verification inputs are public
 /// (signatures on consensus messages), and the signing keys this system
@@ -50,9 +50,10 @@ using Sig = std::array<uint8_t, 64>;
 [[nodiscard]] bool Verify(const PublicKey& public_key, const uint8_t* data,
                           size_t len, const Sig& sig);
 
-/// Per-key precomputation: the public key decompressed once into a table
-/// of the odd multiples -A, -3A, ..., -15A (~1.3 KB), plus — for a
-/// signing key — the expanded secret (clamped scalar a and nonce prefix).
+/// Per-key precomputation: the public key decompressed once into tables
+/// of the odd multiples -A, -3A, ..., -15A and of the same multiples of
+/// 2^128 (-A) (~1.3 KB each), plus — for a signing key — the expanded
+/// secret (clamped scalar a and nonce prefix).
 /// Opaque and immutable once built, so one instance is shared by any
 /// number of threads without a lock.
 struct PrecomputedKey;
@@ -89,9 +90,9 @@ struct BatchItem {
 ///
 ///     [sum_i z_i s_i] B  -  sum_i [z_i] R_i  -  sum_i [z_i h_i] A_i  ==  O
 ///
-/// with one interleaved multi-scalar multiplication, sharing the ~253
-/// doublings across all 2n+1 terms (the speedup over n scalar Verify
-/// calls; see DESIGN.md §17). The 128-bit coefficients z_i are derived by
+/// with one interleaved multi-scalar multiplication, sharing its ~128
+/// doublings (every scalar split into 128-bit halves) across all 3n+2
+/// terms (the speedup over n scalar Verify calls; see DESIGN.md §17). The 128-bit coefficients z_i are derived by
 /// hashing the batch contents — deterministic by design (rule D1: no
 /// ambient randomness in src/), which is sound against forgers who cannot
 /// predict a future batch's composition; an adversary who fully controls
@@ -137,6 +138,13 @@ struct Point {
 /// scalar = sum naf[i] 2^i, every nonzero digit odd with |d| <= 15, and
 /// any two nonzero digits at least 5 positions apart.
 void NafRecode(int8_t naf[256], const uint8_t scalar[32]);
+
+/// Encoding of [s]B - [h]A as Verify computes it: both scalars split into
+/// 128-bit halves over B, 2^128 B and the key's -A, -2^128 A tables. `key`
+/// must hold a valid point; h and s are 32 little-endian bytes below 2^255.
+[[nodiscard]] ed25519::PublicKey VerifyCombination(
+    const ed25519::PrecomputedKey& key, const uint8_t h[32],
+    const uint8_t s[32]);
 
 }  // namespace internal_ed25519
 }  // namespace massbft

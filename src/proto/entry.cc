@@ -1,5 +1,6 @@
 #include "proto/entry.h"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -146,6 +147,15 @@ bool Certificate::Verify(const KeyRegistry& registry, int quorum,
     }
   }
   return valid >= quorum;
+}
+
+bool VerifiedCertMemo::Contains(const Certificate& cert) const {
+  return std::find(certs_.begin(), certs_.end(), cert) != certs_.end();
+}
+
+void VerifiedCertMemo::Remember(const Certificate& cert) {
+  if (certs_.size() == capacity_) certs_.pop_front();
+  certs_.push_back(cert);
 }
 
 }  // namespace massbft

@@ -1,7 +1,9 @@
 #ifndef MASSBFT_PROTO_ENTRY_H_
 #define MASSBFT_PROTO_ENTRY_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -135,6 +137,35 @@ class Certificate {
   /// b = node index 8*b + i). Canonical: never has a trailing zero byte.
   Bytes bitmap_;
   std::vector<Signature> sigs_;
+};
+
+/// Bounded memo of certificates that passed a full check, matched by
+/// exact equality (group, digest, signer bitmap and every signature byte),
+/// so one that differs anywhere is checked in full. A remote leader sees
+/// the proposer's certificate at global Raft propose and again with any
+/// chunk whose sender committed with the same signer set; the second
+/// check is then skipped.
+class VerifiedCertMemo {
+ public:
+  explicit VerifiedCertMemo(size_t capacity) : capacity_(capacity) {}
+
+  /// True if `cert` equals a remembered certificate; otherwise returns
+  /// `check(cert)` and remembers `cert` if it passed (evicting the oldest
+  /// beyond capacity). A failure is never remembered.
+  template <typename CheckFn>
+  [[nodiscard]] bool Verify(const Certificate& cert, CheckFn&& check) {
+    if (Contains(cert)) return true;
+    if (!check(cert)) return false;
+    Remember(cert);
+    return true;
+  }
+
+ private:
+  [[nodiscard]] bool Contains(const Certificate& cert) const;
+  void Remember(const Certificate& cert);
+
+  size_t capacity_;
+  std::deque<Certificate> certs_;  // Oldest first.
 };
 
 }  // namespace massbft

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.h"
@@ -454,16 +459,21 @@ TEST(Ed25519Test, GoldenSignatureDigest) {
 // The fast paths (fixed-base table, NAF recoding, per-key tables, batch
 // multi-scalar multiply) cross-checked against plain reference algorithms.
 
-/// [scalar]B by MSB-first double-and-add over the generic group law.
-internal_ed25519::Point DoubleAndAdd(const uint8_t scalar[32]) {
+/// [scalar]P by MSB-first double-and-add over the generic group law.
+internal_ed25519::Point DoubleAndAdd(const uint8_t scalar[32],
+                                     const internal_ed25519::Point& p) {
   using namespace internal_ed25519;
   Point acc = IdentityPoint();
-  const Point base = BasePoint();
   for (int bit = 255; bit >= 0; --bit) {
     acc = DoublePoint(acc);
-    if ((scalar[bit / 8] >> (bit % 8)) & 1) acc = AddPoints(acc, base);
+    if ((scalar[bit / 8] >> (bit % 8)) & 1) acc = AddPoints(acc, p);
   }
   return acc;
+}
+
+/// [scalar]B.
+internal_ed25519::Point DoubleAndAdd(const uint8_t scalar[32]) {
+  return DoubleAndAdd(scalar, internal_ed25519::BasePoint());
 }
 
 /// Seeded scalars below 2^255 plus the edge cases the kernels must
@@ -524,6 +534,131 @@ TEST(Ed25519Test, NafRecodingReconstructsItsScalar) {
     }
     ASSERT_EQ(acc[32], 0);
   }
+}
+
+TEST(Ed25519Test, SplitScalarVerifyMatchesDoubleAndAdd) {
+  using Scalar = std::array<uint8_t, 32>;
+  const Scalar l_minus_1 = {0xec, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58,
+                            0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
+                            0,    0,    0,    0,    0,    0,    0,    0,
+                            0,    0,    0,    0,    0,    0,    0,    0x10};
+  Scalar l_minus_2 = l_minus_1;
+  l_minus_2[0] -= 1;
+  Scalar two_128{};
+  two_128[16] = 1;
+  Scalar below_two_128{};
+  std::fill(below_two_128.begin(), below_two_128.begin() + 16, 0xff);
+  Scalar one{};
+  one[0] = 1;
+
+  // h: edge cases around the 2^128 split and L, then random values below
+  // and above 2^128. s: near L, plus a random one.
+  std::vector<Scalar> hs = {Scalar{}, one, below_two_128, two_128, l_minus_1};
+  Rng rng(0x5A11);
+  for (int i = 0; i < 8; ++i) {
+    Scalar h{};
+    const int bytes = i % 2 == 0 ? 16 : 32;
+    for (int b = 0; b < bytes; ++b) h[b] = static_cast<uint8_t>(rng.NextU64());
+    h[31] &= 0x0f;  // Below 2^252 < L.
+    hs.push_back(h);
+  }
+  Scalar random_s{};
+  for (uint8_t& b : random_s) b = static_cast<uint8_t>(rng.NextU64());
+  random_s[31] &= 0x0f;
+  const std::vector<Scalar> ss = {l_minus_1, l_minus_2, random_s};
+
+  for (uint8_t seed = 1; seed <= 2; ++seed) {
+    ed25519::SecretKey secret{};
+    secret[0] = seed;
+    const auto key = ed25519::PrecomputeSigningKey(secret);
+    // A = [a]B with a the clamped secret scalar, and -A = [L-1]A.
+    const Digest512 expanded = Sha512::Hash(secret.data(), secret.size());
+    Scalar a;
+    std::memcpy(a.data(), expanded.data(), 32);
+    a[0] &= 248;
+    a[31] &= 127;
+    a[31] |= 64;
+    const internal_ed25519::Point pub = DoubleAndAdd(a.data());
+    ASSERT_EQ(internal_ed25519::EncodePoint(pub),
+              ed25519::DerivePublicKey(secret));
+    const internal_ed25519::Point neg_pub = DoubleAndAdd(l_minus_1.data(), pub);
+    // Signing keys build their 2^128 (-A) table by a fixed-base multiply,
+    // verify-only keys by doubling -A: both must match the oracle.
+    const auto verify_key =
+        ed25519::PrecomputeVerifyKey(ed25519::DerivePublicKey(secret));
+
+    for (const Scalar& s : ss) {
+      const internal_ed25519::Point sb = DoubleAndAdd(s.data());
+      for (const Scalar& h : hs) {
+        const ed25519::PublicKey expected = internal_ed25519::EncodePoint(
+            internal_ed25519::AddPoints(sb, DoubleAndAdd(h.data(), neg_pub)));
+        for (const auto* k : {key.get(), verify_key.get()}) {
+          ASSERT_EQ(internal_ed25519::VerifyCombination(*k, h.data(), s.data()),
+                    expected)
+              << "h " << ToHex(h.data(), h.size()) << " s "
+              << ToHex(s.data(), s.size());
+        }
+      }
+    }
+  }
+}
+
+TEST(Ed25519Test, ConcurrentVerifySharesPrecomputedKey) {
+  // An RFC 8032 vector: known bytes, so no curve arithmetic runs before
+  // the threads start and each thread's first Verify races the one-time
+  // build of the static curve tables.
+  const Rfc8032Vector& vec = kRfc8032Vectors[1];
+  const Bytes pk_bytes = FromHex(vec.public_key);
+  const Bytes sig_bytes = FromHex(vec.sig);
+  const Bytes rfc_msg = FromHex(vec.message);
+  ed25519::PublicKey rfc_pk;
+  ed25519::Sig rfc_sig;
+  std::memcpy(rfc_pk.data(), pk_bytes.data(), rfc_pk.size());
+  std::memcpy(rfc_sig.data(), sig_bytes.data(), rfc_sig.size());
+
+  // The shared keys and their signatures are built once, by whichever
+  // thread gets there first, and then read by all four without a lock.
+  constexpr int kKeys = 3;
+  const Bytes digest = ToBytes("shared certificate digest");
+  std::vector<std::shared_ptr<const ed25519::PrecomputedKey>> keys;
+  std::vector<ed25519::Sig> sigs(kKeys);
+  std::once_flag built;
+  auto build = [&] {
+    for (int i = 0; i < kKeys; ++i) {
+      ed25519::SecretKey secret{};
+      secret[0] = static_cast<uint8_t>(40 + i);
+      keys.push_back(ed25519::PrecomputeSigningKey(secret));
+      sigs[i] = ed25519::Sign(*keys[i], digest.data(), digest.size());
+    }
+  };
+
+  std::atomic<int> failures{0};
+  std::latch start(4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      if (!ed25519::Verify(rfc_pk, rfc_msg.data(), rfc_msg.size(), rfc_sig))
+        ++failures;
+      std::call_once(built, build);
+      std::vector<ed25519::BatchItem> items;
+      for (int i = 0; i < kKeys; ++i)
+        items.push_back({nullptr, &sigs[i], keys[i].get()});
+      for (int round = 0; round < 8; ++round) {
+        const int i = (t + round) % kKeys;
+        if (!ed25519::Verify(*keys[i], digest.data(), digest.size(), sigs[i]))
+          ++failures;
+        // A valid signature under the wrong key must fail.
+        if (ed25519::Verify(*keys[(i + 1) % kKeys], digest.data(),
+                            digest.size(), sigs[i]))
+          ++failures;
+        if (!ed25519::VerifyBatch(items, digest.data(), digest.size()))
+          ++failures;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(Ed25519Test, PrecomputedKeyAgreesWithRawKey) {

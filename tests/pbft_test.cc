@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "consensus/pbft/certifier.h"
@@ -36,9 +37,23 @@ class GroupBus {
     for (int i = 0; i < n_; ++i)
       if (i != from) Send(from, i, msg);
   }
+  using HoldPredicate =
+      std::function<bool(int from, int to, const MessagePtr& msg)>;
+  /// Parks the messages matching `pred` until ReleaseHeld (reordering).
+  void Hold(HoldPredicate pred) { hold_ = std::move(pred); }
+  void ReleaseHeld() {
+    hold_ = nullptr;
+    for (Queued& q : held_) queue_.push_back(std::move(q));
+    held_.clear();
+  }
+
   void Send(int from, int to, MessagePtr msg) {
     if (dropped_.count(from) > 0 || dropped_.count(to) > 0) return;
     if (dropped_links_.count({from, to}) > 0) return;
+    if (hold_ && hold_(from, to, msg)) {
+      held_.push_back({from, to, std::move(msg)});
+      return;
+    }
     queue_.push_back({from, to, std::move(msg)});
   }
   void ScheduleTimer(int64_t delay, std::function<void()> fn) {
@@ -82,6 +97,8 @@ class GroupBus {
   std::map<int, Handler> handlers_;
   std::set<int> dropped_;
   std::set<std::pair<int, int>> dropped_links_;
+  HoldPredicate hold_;
+  std::vector<Queued> held_;
   std::deque<Queued> queue_;
   std::vector<std::pair<int64_t, std::function<void()>>> timers_;
   int64_t now_ = 0;
@@ -100,9 +117,13 @@ struct PbftNode {
     cb.sign = [bus, self](const Bytes& payload) {
       return bus->registry.Sign(self, payload);
     };
-    cb.verify = [bus](NodeId node, const Bytes& payload,
-                      const Signature& sig) {
-      return bus->registry.Verify(node, payload, sig);
+    cb.verify = [this, bus](const std::vector<NodeId>& nodes,
+                            const Bytes& payload,
+                            const std::vector<const Signature*>& sigs) {
+      sigs_checked += static_cast<int>(nodes.size());
+      for (NodeId node : nodes) checked_indices.insert(node.index);
+      return bus->registry.VerifyBatch(nodes, payload.data(), payload.size(),
+                                       sigs);
     };
     cb.validate_entry = [this, instant_validation](
                             EntryPtr entry, std::function<void(bool)> done) {
@@ -123,6 +144,9 @@ struct PbftNode {
   }
 
   std::unique_ptr<PbftEngine> engine;
+  /// Signatures this node has checked (pre-prepare and votes), and whose.
+  int sigs_checked = 0;
+  std::set<uint16_t> checked_indices;
   std::vector<std::pair<EntryPtr, Certificate>> committed;
   std::vector<std::function<void(bool)>> pending_validations;
 };
@@ -277,6 +301,225 @@ TEST_F(PbftFixture, ValidationGateBlocksPrepare) {
   for (auto& node : nodes_) EXPECT_EQ(node->committed.size(), 1u);
 }
 
+TEST_F(PbftFixture, VotesAfterQuorumAreNeverVerified) {
+  Init(7);  // f = 2, quorum 5.
+  nodes_[0]->engine->Propose(MakeEntry(0));
+  bus_->Deliver();
+  // Every node checks only the votes that complete each quorum: the
+  // leader 4 prepares + 4 commits (its own vote counts unchecked); a
+  // follower the pre-prepare, 3 prepares (own + pre-prepare count) and 4
+  // commits. Checking every vote would cost 12 per node.
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_EQ(nodes_[i]->committed.size(), 1u) << "node " << i;
+    EXPECT_EQ(nodes_[i]->sigs_checked, 8) << "node " << i;
+  }
+  // The vote checks rode the batched path.
+  VerifyStats stats = bus_->registry.verify_stats();
+  EXPECT_EQ(stats.batch_calls, 14u);  // One per phase per node.
+  EXPECT_EQ(stats.batch_fallbacks, 0u);
+}
+
+/// A well-formed signature by `index` over the wrong bytes.
+Signature ForgedSig(const KeyRegistry& registry, uint16_t index) {
+  return registry.Sign(NodeId{0, index}, ToBytes("not the vote payload"));
+}
+
+TEST_F(PbftFixture, ForgedVotesInABatchAreExcludedAndHonestQuorumCommits) {
+  Init(7);  // f = 2, quorum 5: nodes 5 and 6 forge, 0..4 are the quorum.
+  bus_->Drop(5);
+  bus_->Drop(6);
+  EntryPtr entry = MakeEntry(0);
+  // Forged prepares and commits reach every honest node first, so they
+  // sit in the first batch each node checks.
+  for (int from : {5, 6}) {
+    for (MessageType phase : {MessageType::kPrepare, MessageType::kCommit}) {
+      auto vote = std::make_shared<PbftVoteMsg>(
+          phase, 0, 0, entry->digest(),
+          ForgedSig(bus_->registry, static_cast<uint16_t>(from)));
+      for (int to = 0; to < 5; ++to)
+        nodes_[to]->engine->OnMessage(
+            NodeId{0, static_cast<uint16_t>(from)}, vote);
+    }
+  }
+  nodes_[0]->engine->Propose(entry);
+  bus_->Deliver();
+  EXPECT_GT(bus_->registry.verify_stats().batch_fallbacks, 0u);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(nodes_[i]->committed.size(), 1u) << "node " << i;
+    const Certificate& cert = nodes_[i]->committed[0].second;
+    EXPECT_EQ(cert.Signers(), (std::vector<uint16_t>{0, 1, 2, 3, 4}));
+    std::vector<uint16_t> forgers;
+    EXPECT_TRUE(cert.Verify(bus_->registry, 5, &forgers));
+    EXPECT_TRUE(forgers.empty());
+  }
+}
+
+TEST_F(PbftFixture, VoteForAnotherDigestNeverCounts) {
+  Init(4);  // f = 1, quorum 3. Node 3 is Byzantine and otherwise silent.
+  bus_->Drop(3);
+  EntryPtr entry = MakeEntry(0);
+  EntryPtr other = MakeEntry(0, 200);
+  // Node 3's commit vote is validly signed, but for another digest, and
+  // reaches node 1 before the pre-prepare (while the digest is unknown).
+  const Digest& wrong = other->digest();
+  nodes_[1]->engine->OnMessage(
+      NodeId{0, 3},
+      std::make_shared<PbftVoteMsg>(
+          MessageType::kCommit, 0, 0, wrong,
+          bus_->registry.Sign(NodeId{0, 3}, Bytes(wrong.begin(), wrong.end()))));
+  // Node 2's commit to node 1 is held back: node 1 then has commits from
+  // 0 and itself plus node 3's wrong-digest one — not a quorum.
+  bus_->Hold([](int from, int to, const MessagePtr& m) {
+    return from == 2 && to == 1 &&
+           m->type() == static_cast<uint8_t>(MessageType::kCommit);
+  });
+  nodes_[0]->engine->Propose(entry);
+  bus_->Deliver();
+  EXPECT_EQ(nodes_[0]->committed.size(), 1u);
+  EXPECT_TRUE(nodes_[1]->committed.empty());
+
+  bus_->ReleaseHeld();
+  bus_->Deliver();
+  ASSERT_EQ(nodes_[1]->committed.size(), 1u);
+  const Certificate& cert = nodes_[1]->committed[0].second;
+  EXPECT_EQ(cert.Signers(), (std::vector<uint16_t>{0, 1, 2}));
+  EXPECT_TRUE(cert.Verify(bus_->registry, 3));
+}
+
+TEST_F(PbftFixture, CheckedVoteForAnotherDigestNeverCounts) {
+  Init(4);  // f = 1, quorum 3. Node 3 is Byzantine and otherwise silent.
+  bus_->Drop(3);
+  EntryPtr entry = MakeEntry(0);
+  const Digest wrong = MakeEntry(0, 200)->digest();
+  // Before the pre-prepare, node 1 gets node 3's genuine commit for
+  // another digest, then a forgery in node 3's name: the contest checks
+  // the genuine vote, which is still for the wrong digest.
+  for (const Signature& sig :
+       {bus_->registry.Sign(NodeId{0, 3}, Bytes(wrong.begin(), wrong.end())),
+        ForgedSig(bus_->registry, 3)}) {
+    nodes_[1]->engine->OnMessage(
+        NodeId{0, 3}, std::make_shared<PbftVoteMsg>(MessageType::kCommit, 0,
+                                                    0, wrong, sig));
+  }
+  EXPECT_EQ(nodes_[1]->sigs_checked, 1);
+  bus_->Hold([](int from, int to, const MessagePtr& m) {
+    return from == 2 && to == 1 &&
+           m->type() == static_cast<uint8_t>(MessageType::kCommit);
+  });
+  nodes_[0]->engine->Propose(entry);
+  bus_->Deliver();
+  EXPECT_TRUE(nodes_[1]->committed.empty());
+
+  bus_->ReleaseHeld();
+  bus_->Deliver();
+  ASSERT_EQ(nodes_[1]->committed.size(), 1u);
+  const Certificate& cert = nodes_[1]->committed[0].second;
+  EXPECT_EQ(cert.Signers(), (std::vector<uint16_t>{0, 1, 2}));
+  EXPECT_TRUE(cert.Verify(bus_->registry, 3));
+}
+
+TEST_F(PbftFixture, VotesBeforePrePrepareCountOnceItArrives) {
+  Init(4);
+  // Node 3 sees every prepare and commit before the pre-prepare.
+  bus_->Hold([](int from, int to, const MessagePtr& m) {
+    return from == 0 && to == 3 &&
+           m->type() == static_cast<uint8_t>(MessageType::kPrePrepare);
+  });
+  EntryPtr entry = MakeEntry(0);
+  nodes_[0]->engine->Propose(entry);
+  bus_->Deliver();
+  EXPECT_TRUE(nodes_[3]->committed.empty());
+  EXPECT_EQ(nodes_[3]->sigs_checked, 0);  // Nothing checked while unknown.
+
+  bus_->ReleaseHeld();
+  bus_->Deliver();
+  ASSERT_EQ(nodes_[3]->committed.size(), 1u);
+  EXPECT_EQ(nodes_[3]->committed[0].first->digest(), entry->digest());
+  EXPECT_TRUE(nodes_[3]->committed[0].second.Verify(bus_->registry, 3));
+  // Pre-prepare, one prepare (own + pre-prepare already count), two
+  // commits (own counts).
+  EXPECT_EQ(nodes_[3]->sigs_checked, 4);
+}
+
+TEST_F(PbftFixture, ForgedVotesBeforeTheRealOnesDoNotBlockThem) {
+  Init(4);  // f = 1, quorum 3: node 3 is silent, so node 2 is needed.
+  bus_->Drop(3);
+  EntryPtr entry = MakeEntry(0);
+  // Before the pre-prepare, a peer sends prepares and commits in node 2's
+  // name to nodes 0 and 1: one with a forged signature and the right
+  // digest, one with a forged signature and another digest.
+  const Digest other = MakeEntry(0, 200)->digest();
+  for (const Digest* digest : {&entry->digest(), &other}) {
+    for (MessageType phase : {MessageType::kPrepare, MessageType::kCommit}) {
+      auto vote = std::make_shared<PbftVoteMsg>(phase, 0, 0, *digest,
+                                                ForgedSig(bus_->registry, 2));
+      for (int to : {0, 1})
+        nodes_[to]->engine->OnMessage(NodeId{0, 2}, vote);
+    }
+  }
+  nodes_[0]->engine->Propose(entry);
+  bus_->Deliver();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(nodes_[i]->committed.size(), 1u) << "node " << i;
+    const Certificate& cert = nodes_[i]->committed[0].second;
+    EXPECT_EQ(cert.Signers(), (std::vector<uint16_t>{0, 1, 2}));
+    std::vector<uint16_t> forgers;
+    EXPECT_TRUE(cert.Verify(bus_->registry, 3, &forgers));
+    EXPECT_TRUE(forgers.empty());
+  }
+}
+
+TEST_F(PbftFixture, ForgedVoteAfterTheRealOneCostsNoExtraCheck) {
+  Init(4);  // Node 3 is silent, so node 2 is needed.
+  bus_->Drop(3);
+  // Node 1 gets node 2's real prepare before the pre-prepare, then a
+  // forgery in node 2's name. The contest checks the real vote, which
+  // then counts without a second check.
+  bus_->Hold([](int from, int to, const MessagePtr& m) {
+    return from == 0 && to == 1 &&
+           m->type() == static_cast<uint8_t>(MessageType::kPrePrepare);
+  });
+  EntryPtr entry = MakeEntry(0);
+  nodes_[0]->engine->Propose(entry);
+  bus_->Deliver();
+  EXPECT_EQ(nodes_[1]->sigs_checked, 0);
+  nodes_[1]->engine->OnMessage(
+      NodeId{0, 2}, std::make_shared<PbftVoteMsg>(
+                        MessageType::kPrepare, 0, 0, entry->digest(),
+                        ForgedSig(bus_->registry, 2)));
+  EXPECT_EQ(nodes_[1]->sigs_checked, 1);
+
+  bus_->ReleaseHeld();
+  bus_->Deliver();
+  ASSERT_EQ(nodes_[1]->committed.size(), 1u);
+  EXPECT_EQ(nodes_[1]->committed[0].second.Signers(),
+            (std::vector<uint16_t>{0, 1, 2}));
+  // Pre-prepare, the contested prepare, two commits: as without the
+  // forgery.
+  EXPECT_EQ(nodes_[1]->sigs_checked, 4);
+}
+
+TEST_F(PbftFixture, VotesFromIndicesOutsideTheGroupAreNeverChecked) {
+  Init(4);
+  bus_->Drop(3);
+  EntryPtr entry = MakeEntry(0);
+  for (uint16_t index : {4, 7, 65535}) {
+    for (MessageType phase : {MessageType::kPrepare, MessageType::kCommit}) {
+      auto vote = std::make_shared<PbftVoteMsg>(phase, 0, 0, entry->digest(),
+                                                Signature{});
+      for (int to = 0; to < 3; ++to)
+        nodes_[to]->engine->OnMessage(NodeId{0, index}, vote);
+    }
+  }
+  nodes_[0]->engine->Propose(entry);
+  bus_->Deliver();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(nodes_[i]->committed.size(), 1u) << "node " << i;
+    for (uint16_t index : nodes_[i]->checked_indices)
+      EXPECT_LT(index, 3) << "node " << i;
+  }
+}
+
 // -------------------------------------------------------- DigestCertifier
 
 struct CertifierNode {
@@ -292,19 +535,25 @@ struct CertifierNode {
     cb.sign = [bus, self](const Bytes& payload) {
       return bus->registry.Sign(self, payload);
     };
-    cb.verify = [bus](NodeId node, const Bytes& payload,
-                      const Signature& sig) {
-      return bus->registry.Verify(node, payload, sig);
+    cb.verify = [this, bus](const std::vector<NodeId>& nodes,
+                            const Bytes& payload,
+                            const std::vector<const Signature*>& sigs) {
+      sigs_checked += static_cast<int>(nodes.size());
+      return bus->registry.VerifyBatch(nodes, payload.data(), payload.size(),
+                                       sigs);
     };
     cb.can_sign = [this](const DecisionId&) { return can_sign; };
     cb.on_certified = [this](const DecisionId& decision, Certificate cert) {
       certified.push_back({decision, std::move(cert)});
     };
-    certifier = std::make_unique<DigestCertifier>(0, self, n, std::move(cb));
+    certifier = std::make_unique<DigestCertifier>(0, self, n,
+                                                  /*leader_index=*/0,
+                                                  std::move(cb));
   }
 
   std::unique_ptr<DigestCertifier> certifier;
   bool can_sign = true;
+  int sigs_checked = 0;
   std::vector<std::pair<DecisionId, Certificate>> certified;
 };
 
@@ -382,6 +631,104 @@ TEST_F(CertifierFixture, DuplicateStartIdempotent) {
   nodes_[0]->certifier->Start(Decision());
   bus_->Deliver();
   EXPECT_EQ(nodes_[0]->certified.size(), 1u);
+}
+
+TEST_F(CertifierFixture, NonLeaderRequestDrawsNoVote) {
+  Init(4);
+  // A follower asking for shares on a decision (say, a commit the global
+  // Raft never reached) gets none.
+  nodes_[1]->certifier->Start(Decision());
+  bus_->Deliver();
+  EXPECT_TRUE(nodes_[1]->certified.empty());
+  for (int i = 0; i < 4; ++i)
+    EXPECT_EQ(nodes_[i]->sigs_checked, 0) << "node " << i;
+
+  nodes_[0]->certifier->Start(Decision());
+  bus_->Deliver();
+  ASSERT_EQ(nodes_[0]->certified.size(), 1u);
+  EXPECT_TRUE(nodes_[0]->certified[0].second.Verify(bus_->registry, 3));
+}
+
+TEST_F(CertifierFixture, ForgedSharesAreExcludedFromTheCertificate) {
+  Init(7);  // f = 2, quorum 5.
+  DecisionId decision = Decision();
+  nodes_[0]->certifier->Start(decision);
+  // Forged shares from 5 and 6 reach the leader ahead of every honest one.
+  for (uint16_t from : {5, 6}) {
+    bus_->Send(from, 0,
+               std::make_shared<CertifyVoteMsg>(
+                   decision, bus_->registry.Sign(NodeId{0, from},
+                                                 ToBytes("not the digest"))));
+  }
+  bus_->Deliver();
+  ASSERT_EQ(nodes_[0]->certified.size(), 1u);
+  EXPECT_GT(bus_->registry.verify_stats().batch_fallbacks, 0u);
+  const Certificate& cert = nodes_[0]->certified[0].second;
+  EXPECT_EQ(static_cast<int>(cert.NumSignatures()), 5);
+  std::vector<uint16_t> forgers;
+  EXPECT_TRUE(cert.Verify(bus_->registry, 5, &forgers));
+  EXPECT_TRUE(forgers.empty());
+}
+
+TEST_F(CertifierFixture, ForgedShareBeforeTheRealOneDoesNotBlockIt) {
+  Init(4);  // f = 1, quorum 3: node 3 is silent, so node 2 is needed.
+  bus_->Drop(3);
+  DecisionId decision = Decision();
+  nodes_[0]->certifier->Start(decision);
+  // A share in node 2's name reaches the leader first; node 2's real
+  // share follows while node 1's is held back.
+  nodes_[0]->certifier->OnMessage(
+      NodeId{0, 2},
+      std::make_shared<CertifyVoteMsg>(
+          decision,
+          bus_->registry.Sign(NodeId{0, 2}, ToBytes("not the digest"))));
+  bus_->Hold([](int from, int to, const MessagePtr&) {
+    return from == 1 && to == 0;
+  });
+  bus_->Deliver();
+  EXPECT_TRUE(nodes_[0]->certified.empty());
+
+  bus_->ReleaseHeld();
+  bus_->Deliver();
+  ASSERT_EQ(nodes_[0]->certified.size(), 1u);
+  const Certificate& cert = nodes_[0]->certified[0].second;
+  EXPECT_EQ(cert.Signers(), (std::vector<uint16_t>{0, 1, 2}));
+  EXPECT_TRUE(cert.Verify(bus_->registry, 3));
+}
+
+TEST_F(CertifierFixture, HeldStateStaysAtTheInFlightCount) {
+  Init(4);
+  auto decision = [](uint64_t seq) {
+    return DecisionId{DigestCertifier::kAccept, 0, 1, seq, 0};
+  };
+  auto held = [this] {
+    size_t total = 0;
+    for (auto& node : nodes_) total += node->certifier->held_decisions();
+    return total;
+  };
+  for (uint64_t seq = 0; seq < 500; ++seq) {
+    nodes_[0]->certifier->Start(decision(seq));
+    bus_->Deliver();
+  }
+  EXPECT_EQ(nodes_[0]->certified.size(), 500u);
+  EXPECT_EQ(held(), 0u);
+
+  // Node 3 defers ten decisions; the leader certifies them without it.
+  nodes_[3]->can_sign = false;
+  for (uint64_t seq = 500; seq < 510; ++seq)
+    nodes_[0]->certifier->Start(decision(seq));
+  bus_->Deliver();
+  EXPECT_EQ(nodes_[0]->certified.size(), 510u);
+  EXPECT_EQ(nodes_[0]->certifier->held_decisions(), 0u);
+  EXPECT_EQ(nodes_[3]->certifier->held_decisions(), 10u);
+  // Its late shares, once sent, are dropped unchecked.
+  const int checked = nodes_[0]->sigs_checked;
+  nodes_[3]->can_sign = true;
+  nodes_[3]->certifier->RecheckPending();
+  bus_->Deliver();
+  EXPECT_EQ(held(), 0u);
+  EXPECT_EQ(nodes_[0]->sigs_checked, checked);
+  EXPECT_EQ(nodes_[0]->certified.size(), 510u);
 }
 
 }  // namespace

@@ -196,6 +196,56 @@ TEST_F(CertificateTest, NonCanonicalBitmapRejected) {
   EXPECT_FALSE(Certificate::DecodeFrom(&r).ok());
 }
 
+TEST_F(CertificateTest, MemoMatchesOnlyTheExactCertificate) {
+  VerifiedCertMemo memo(2);
+  int checks = 0;
+  auto check = [&](const Certificate& c) {
+    ++checks;
+    return c.Verify(registry_, 5);
+  };
+  Certificate cert = MakeCert(digest_, 5);
+  ASSERT_TRUE(memo.Verify(cert, check));
+  ASSERT_TRUE(memo.Verify(cert, check));
+  EXPECT_EQ(checks, 1);  // The second call is a hit.
+
+  // One signature byte different: a miss, so it is checked in full.
+  Certificate flipped;
+  flipped.gid = cert.gid;
+  flipped.digest = cert.digest;
+  const std::vector<uint16_t> signers = cert.Signers();
+  for (size_t i = 0; i < signers.size(); ++i) {
+    Signature sig = cert.Signatures()[i];
+    if (i == 3) sig[63] ^= 0x01;
+    flipped.AddSignature(signers[i], sig);
+  }
+  EXPECT_FALSE(memo.Verify(flipped, check));
+  EXPECT_FALSE(memo.Verify(flipped, check));  // Failures are never remembered.
+  EXPECT_EQ(checks, 3);
+
+  // Same signatures, one bitmap bit moved (signer 4 claimed as 5).
+  Certificate moved;
+  moved.gid = cert.gid;
+  moved.digest = cert.digest;
+  for (size_t i = 0; i < signers.size(); ++i)
+    moved.AddSignature(signers[i] == 4 ? 5 : signers[i], cert.Signatures()[i]);
+  EXPECT_FALSE(memo.Verify(moved, check));
+  EXPECT_EQ(checks, 4);
+  ASSERT_TRUE(memo.Verify(cert, check));
+  EXPECT_EQ(checks, 4);
+
+  // Bounded: the oldest certificate is evicted first.
+  Certificate second = MakeCert(Sha256::Hash("second"), 5);
+  Certificate third = MakeCert(Sha256::Hash("third"), 5);
+  ASSERT_TRUE(memo.Verify(second, check));
+  ASSERT_TRUE(memo.Verify(third, check));
+  EXPECT_EQ(checks, 6);
+  ASSERT_TRUE(memo.Verify(second, check));
+  ASSERT_TRUE(memo.Verify(third, check));
+  EXPECT_EQ(checks, 6);
+  ASSERT_TRUE(memo.Verify(cert, check));  // Evicted: checked again.
+  EXPECT_EQ(checks, 7);
+}
+
 // ---------------------------------------------------------- Message sizes
 
 // ByteSize() must equal frame overhead plus the real encoded body (plus
