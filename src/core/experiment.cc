@@ -11,18 +11,6 @@
 
 namespace massbft {
 
-std::string ExperimentResult::Summary() const {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "%.1f ktps, latency mean %.1f ms (p50 %.1f, p99 %.1f), "
-                "batch %.0f, conflict aborts %llu, aborted txns %llu",
-                throughput_tps / 1000.0, mean_latency_ms, p50_latency_ms,
-                p99_latency_ms, avg_batch_size,
-                static_cast<unsigned long long>(conflict_aborts),
-                static_cast<unsigned long long>(aborted_txns));
-  return buf;
-}
-
 std::string ExperimentResult::ToJson() const {
   std::ostringstream out;
   obs::JsonWriter w(out);
@@ -82,6 +70,51 @@ std::string ExperimentResult::ToJson() const {
   return out.str();
 }
 
+void AddTelemetry(obs::Telemetry& telemetry, ExperimentResult* result) {
+  // The Fig 11 phase breakdown, derived from the spans the nodes recorded
+  // into the registry (batching per transaction; the others per entry).
+  PhaseStats& phases = result->phases;
+  phases.batching_ms += telemetry.phase(obs::Phase::kBatching).sum();
+  phases.local_ms += telemetry.phase(obs::Phase::kLocalConsensus).sum();
+  phases.encode_ms += telemetry.phase(obs::Phase::kEncode).sum();
+  phases.global_ms += telemetry.phase(obs::Phase::kGlobalReplication).sum();
+  phases.rebuild_ms += telemetry.phase(obs::Phase::kRebuild).sum();
+  phases.exec_ms += telemetry.phase(obs::Phase::kExecution).sum();
+  phases.rebuilds += telemetry.phase(obs::Phase::kRebuild).count();
+  phases.batch_size_sum +=
+      static_cast<double>(telemetry.phase(obs::Phase::kBatching).count());
+  obs::MetricsRegistry& registry = telemetry.registry();
+  phases.entries += registry.GetCounter("node/entries_batched")->value();
+  phases.txns += registry.GetCounter("exec/txns_executed")->value();
+  phases.conflict_aborts +=
+      registry.GetCounter("exec/conflict_aborts")->value();
+  result->aborted_txns += registry.GetCounter("exec/logic_aborts")->value();
+
+  result->conflict_aborts = phases.conflict_aborts;
+  result->entries_proposed = phases.entries;
+  result->avg_batch_size =
+      phases.entries == 0
+          ? 0
+          : phases.batch_size_sum / static_cast<double>(phases.entries);
+}
+
+int64_t CommonPrefixLength(const std::vector<const ExecutionLog*>& logs) {
+  // Compare the executed (gid, seq) sequences of all correct executing
+  // nodes; they must be prefixes of one another (Theorem V.6 agreement).
+  // Checking each log against the longest, not against any one node's,
+  // catches two logs that diverge past a shorter third.
+  const ExecutionLog* longest = nullptr;
+  for (const ExecutionLog* log : logs)
+    if (longest == nullptr || log->size() > longest->size()) longest = log;
+  if (longest == nullptr) return 0;
+  int64_t min_len = static_cast<int64_t>(longest->size());
+  for (const ExecutionLog* log : logs) {
+    min_len = std::min<int64_t>(min_len, static_cast<int64_t>(log->size()));
+    if (!std::equal(log->begin(), log->end(), longest->begin())) return -1;
+  }
+  return min_len;
+}
+
 Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {}
 
 Experiment::~Experiment() = default;
@@ -111,7 +144,6 @@ Status Experiment::Setup() {
   ctx_->registry = registry_.get();
   ctx_->topology = topology_.get();
   ctx_->workload = workload_.get();
-  ctx_->metrics = metrics_.get();
   ctx_->on_txn_committed = [this](const Transaction& txn, SimTime t) {
     OnTxnCommitted(txn, t);
   };
@@ -160,16 +192,9 @@ Status Experiment::Setup() {
 
   // Closed-loop clients, staggered over the first batch interval.
   Rng seed_rng(config_.seed);
-  for (int g = 0; g < topology_->num_groups(); ++g) {
-    for (int c = 0; c < config_.clients_per_group; ++c) {
-      Client client;
-      client.id = static_cast<uint32_t>((g << 20) | c);
-      client.group = g;
-      client.rng = seed_rng.Fork();
-      clients_.push_back(std::move(client));
-    }
-  }
-  for (size_t i = 0; i < clients_.size(); ++i) {
+  clients_ = std::make_unique<ClientTable>(seed_rng, topology_->num_groups(),
+                                           config_.clients_per_group);
+  for (size_t i = 0; i < clients_->size(); ++i) {
     SimTime stagger = static_cast<SimTime>(
         seed_rng.NextBelow(static_cast<uint64_t>(config_.protocol
                                                      .batch_timeout)));
@@ -188,8 +213,8 @@ Status Experiment::Setup() {
         for (auto& n : nodes_)
           if (n->id().group == g) n->Recover();
         // The region's clients reconnect and resume their closed loops.
-        for (size_t i = 0; i < clients_.size(); ++i)
-          if (clients_[i].group == g) SubmitNext(i);
+        for (size_t i = 0; i < clients_->size(); ++i)
+          if (clients_->client(i).group == g) SubmitNext(i);
       });
     }
   }
@@ -197,7 +222,7 @@ Status Experiment::Setup() {
 }
 
 void Experiment::SubmitNext(size_t client_index) {
-  Client& client = clients_[client_index];
+  const ClientTable::Client& client = clients_->client(client_index);
   GroupNode* leader = node(NodeId{static_cast<uint16_t>(client.group), 0});
   if (leader == nullptr || leader->crashed()) return;  // Group down.
 
@@ -213,27 +238,18 @@ void Experiment::SubmitNext(size_t client_index) {
   // and since each closed-loop client draws from its own forked rng, the
   // payload bytes are identical either way.
   sim_->Schedule(config_.client_rtt / 2, [this, client_index, submit_time] {
-    Client& c = clients_[client_index];
-    GroupNode* l = node(NodeId{static_cast<uint16_t>(c.group), 0});
+    const int group = clients_->client(client_index).group;
+    GroupNode* l = node(NodeId{static_cast<uint16_t>(group), 0});
     if (l == nullptr || l->crashed()) return;
-    Transaction txn;
-    txn.client = c.id;
-    txn.id = (static_cast<uint64_t>(c.id) << 32) | c.next_txn++;
-    txn.submit_time = submit_time;
-    txn.payload = workload_->NextPayload(c.rng);
-    l->SubmitClientTxn(txn);
+    l->SubmitClientTxn(
+        clients_->NextTxn(client_index, *workload_, submit_time));
   });
 }
 
 void Experiment::OnTxnCommitted(const Transaction& txn, SimTime commit_time) {
   metrics_->RecordCommit(txn.submit_time, commit_time + config_.client_rtt / 2);
-  size_t client_index = 0;
-  uint32_t group = txn.client >> 20;
-  uint32_t index = txn.client & 0xFFFFF;
-  client_index = static_cast<size_t>(group) *
-                     static_cast<size_t>(config_.clients_per_group) +
-                 index;
-  if (client_index >= clients_.size()) return;
+  const size_t client_index = clients_->IndexOf(txn.client);
+  if (client_index >= clients_->size()) return;
   sim_->ScheduleAt(commit_time + config_.client_rtt, [this, client_index] {
     SubmitNext(client_index);
   });
@@ -270,24 +286,6 @@ ExperimentResult Experiment::Run() {
                                              (bps * run_seconds));
   }
 
-  // The Fig 11 phase breakdown, derived from the spans the nodes recorded
-  // into the registry (batching per transaction; the others per entry).
-  PhaseStats phases;
-  phases.batching_ms = telemetry.phase(obs::Phase::kBatching).sum();
-  phases.local_ms = telemetry.phase(obs::Phase::kLocalConsensus).sum();
-  phases.encode_ms = telemetry.phase(obs::Phase::kEncode).sum();
-  phases.global_ms = telemetry.phase(obs::Phase::kGlobalReplication).sum();
-  phases.rebuild_ms = telemetry.phase(obs::Phase::kRebuild).sum();
-  phases.exec_ms = telemetry.phase(obs::Phase::kExecution).sum();
-  phases.rebuilds = telemetry.phase(obs::Phase::kRebuild).count();
-  phases.batch_size_sum =
-      static_cast<double>(telemetry.phase(obs::Phase::kBatching).count());
-  obs::MetricsRegistry& registry = telemetry.registry();
-  phases.entries = registry.GetCounter("node/entries_batched")->value();
-  phases.txns = registry.GetCounter("exec/txns_executed")->value();
-  phases.conflict_aborts =
-      registry.GetCounter("exec/conflict_aborts")->value();
-
   ExperimentResult result;
   result.crypto_mode = registry_->scheme_name();
   result.verify_batch_ratio = registry_->verify_batch_ratio();
@@ -296,15 +294,7 @@ ExperimentResult Experiment::Run() {
   result.p50_latency_ms = metrics_->P50LatencyMs();
   result.p99_latency_ms = metrics_->P99LatencyMs();
   result.committed_txns = metrics_->committed();
-  result.aborted_txns = metrics_->aborted();
-  result.phases = phases;
-  result.conflict_aborts = phases.conflict_aborts;
-  result.entries_proposed = phases.entries;
-  result.avg_batch_size =
-      result.entries_proposed == 0
-          ? 0
-          : phases.batch_size_sum /
-                static_cast<double>(result.entries_proposed);
+  AddTelemetry(telemetry, &result);
   result.total_wan_bytes = network_->TotalWanBytesSent();
   result.total_lan_bytes = network_->TotalLanBytesSent();
   result.wan_bytes_per_entry =
@@ -325,28 +315,13 @@ ExperimentResult Experiment::Run() {
 }
 
 int64_t Experiment::CheckAgreement() const {
-  // Compare the executed (gid, seq) sequences of all correct executing
-  // nodes; they must be prefixes of one another (Theorem V.6 agreement).
-  const std::vector<std::pair<uint16_t, uint64_t>>* longest = nullptr;
+  std::vector<const ExecutionLog*> logs;
   for (const auto& n : nodes_) {
     if (n->crashed() || n->rejoined()) continue;
     if (!config_.execute_on_all_nodes && n->id().index != 0) continue;
-    if (longest == nullptr ||
-        n->execution_log().size() > longest->size())
-      longest = &n->execution_log();
+    logs.push_back(&n->execution_log());
   }
-  if (longest == nullptr) return 0;
-  int64_t min_len = static_cast<int64_t>(longest->size());
-  for (const auto& n : nodes_) {
-    if (n->crashed() || n->rejoined()) continue;
-    if (!config_.execute_on_all_nodes && n->id().index != 0) continue;
-    const auto& log = n->execution_log();
-    min_len = std::min<int64_t>(min_len, static_cast<int64_t>(log.size()));
-    for (size_t i = 0; i < log.size(); ++i) {
-      if (log[i] != (*longest)[i]) return -1;
-    }
-  }
-  return min_len;
+  return CommonPrefixLength(logs);
 }
 
 }  // namespace massbft

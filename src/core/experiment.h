@@ -1,12 +1,14 @@
 #ifndef MASSBFT_CORE_EXPERIMENT_H_
 #define MASSBFT_CORE_EXPERIMENT_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
-#include "common/rng.h"
+#include "core/client_table.h"
 #include "core/config.h"
 #include "core/group_node.h"
 #include "obs/telemetry.h"
@@ -111,10 +113,25 @@ struct ExperimentResult {
   /// Nodes crash-stopped by the run's fault schedule.
   int nodes_killed = 0;
 
-  std::string Summary() const;
   /// Machine-readable dump of every field above (one JSON object).
   std::string ToJson() const;
 };
+
+/// Adds one telemetry context's protocol counters into `result`: the Fig 11
+/// phase sums, entries, executed transactions and aborts, then re-derives
+/// entries_proposed, conflict_aborts and avg_batch_size from the running
+/// totals. The simulator calls it once on its cluster-wide telemetry; the
+/// threaded runtime once per node, so both report the same sums.
+void AddTelemetry(obs::Telemetry& telemetry, ExperimentResult* result);
+
+/// One node's executed (gid, seq) sequence.
+using ExecutionLog = std::vector<std::pair<uint16_t, uint64_t>>;
+
+/// The agreement oracle of Theorem V.6, shared by both harnesses: every log
+/// must be a prefix of the longest one. Returns the length of the common
+/// prefix (the shortest log), -1 when some log diverges from the longest,
+/// and 0 when `logs` is empty.
+int64_t CommonPrefixLength(const std::vector<const ExecutionLog*>& logs);
 
 /// Builds and drives one simulated cluster. Usage:
 ///   Experiment exp(config);
@@ -155,13 +172,6 @@ class Experiment {
   int64_t CheckAgreement() const;
 
  private:
-  struct Client {
-    uint32_t id;
-    int group;
-    uint64_t next_txn = 0;
-    Rng rng;
-  };
-
   void SubmitNext(size_t client_index);
   void OnTxnCommitted(const Transaction& txn, SimTime commit_time);
 
@@ -174,7 +184,7 @@ class Experiment {
   std::unique_ptr<MetricsCollector> metrics_;
   std::unique_ptr<ClusterContext> ctx_;
   std::vector<std::unique_ptr<GroupNode>> nodes_;
-  std::vector<Client> clients_;
+  std::unique_ptr<ClientTable> clients_;
   bool setup_done_ = false;
 };
 

@@ -924,13 +924,9 @@ void GroupNode::ExecuteEntry(uint16_t gid, uint64_t seq) {
   if (owns_metrics) {
     txns_exec_counter_->Add(n);
     conflict_abort_counter_->Add(result.conflict_aborts.size());
-    if (result.logic_aborts > 0) {
-      // Business aborts complete deterministically and are never retried
-      // (Aria): they are the run's permanently-aborted transactions.
-      logic_abort_counter_->Add(result.logic_aborts);
-      if (ctx_->metrics != nullptr)
-        ctx_->metrics->RecordAbort(result.logic_aborts);
-    }
+    // Business aborts complete deterministically and are never retried
+    // (Aria): they are the run's permanently-aborted transactions.
+    logic_abort_counter_->Add(result.logic_aborts);
     if (rec.global_committed_at >= 0)
       tel_->RecordPhaseSpan(obs::Phase::kExecution, trace_track_,
                             rec.global_committed_at, done_at, gid, seq);

@@ -26,7 +26,6 @@
 #include "replication/rebuilder.h"
 #include "replication/transfer_plan.h"
 #include "sim/actor.h"
-#include "sim/metrics.h"
 #include "sim/topology.h"
 #include "workload/workload.h"
 
@@ -56,7 +55,6 @@ struct ClusterContext {
   KeyRegistry* registry = nullptr;
   const Topology* topology = nullptr;
   Workload* workload = nullptr;
-  MetricsCollector* metrics = nullptr;
   /// Cluster-wide observability: metrics registry + trace recorder. The
   /// default storage keeps directly-constructed nodes (tests) working;
   /// Experiment points every layer at the same instance.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -11,7 +12,6 @@
 #include "obs/prometheus.h"
 #include "obs/trace_clock.h"
 #include "obs/trace_merge.h"
-#include "sim/metrics.h"  // InterpolatedPercentile
 
 namespace massbft {
 
@@ -19,10 +19,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
+/// Wall-clock budget, after issuing stops, for every node to execute
+/// everything that committed before it stopped.
+constexpr std::chrono::seconds kDrainTimeout{20};
 
 std::string NodeName(NodeId id) {
   return std::to_string(id.group) + "/" + std::to_string(id.index);
@@ -37,10 +36,6 @@ RealCluster::~RealCluster() {
   // Join the stats-server thread first: its handlers Call into runtimes,
   // so no handler may be in flight while the runtimes are torn down.
   stats_server_.Stop();
-  // Relaxed: the join below is the ordering edge; the flag only asks the
-  // sampler thread to wind down.
-  sampling_.store(false, std::memory_order_relaxed);
-  if (sampler_.joinable()) sampler_.join();
   MutexLock lock(&introspection_mu_);
   for (auto& rt : runtimes_) rt->Stop();
 }
@@ -94,9 +89,11 @@ Status RealCluster::Setup() {
         registry_.get(), topology_.get(), std::move(transport));
     // Every node executes so the agreement check can compare all replicas.
     rt->node().set_always_execute(true);
-    rt->set_on_txn_committed(
-        [this](const Transaction& txn, SimTime) { OnTxnCommitted(txn); });
-    if (config_.enable_tracing || !config_.trace_path.empty()) {
+    NodeRuntime* raw = rt.get();
+    rt->set_on_txn_committed([this, raw](const Transaction& txn, SimTime) {
+      OnTxnCommitted(*raw, txn);
+    });
+    if (!config_.trace_path.empty()) {
       // Tracing must be switched on before any node thread exists (the
       // enabled flag is not flippable under concurrent recording).
       rt->telemetry().set_tracing(true);
@@ -109,18 +106,14 @@ Status RealCluster::Setup() {
   if (config_.stats_port >= 0) MASSBFT_RETURN_IF_ERROR(StartStatsServer());
 
   Rng seed_rng(config_.seed);
-  client_workloads_.resize(config_.topology.group_sizes.size());
-  latencies_.resize(config_.topology.group_sizes.size());
+  clients_ = std::make_unique<ClientTable>(seed_rng, topology_->num_groups(),
+                                           config_.clients_per_group);
   for (int g = 0; g < topology_->num_groups(); ++g) {
-    client_workloads_[g] =
-        MakeWorkload(config_.workload, config_.workload_scale);
-    for (int c = 0; c < config_.clients_per_group; ++c) {
-      Client client;
-      client.id = (static_cast<uint32_t>(g) << 20) | static_cast<uint32_t>(c);
-      client.group = g;
-      client.rng = seed_rng.Fork();
-      clients_.push_back(std::move(client));
-    }
+    client_workloads_.push_back(
+        MakeWorkload(config_.workload, config_.workload_scale));
+    // No warm-up and no horizon: every commit counts, and Run() divides by
+    // the issuing window itself.
+    group_metrics_.emplace_back(0, std::numeric_limits<SimTime>::max());
   }
 
   setup_done_ = true;
@@ -134,38 +127,27 @@ NodeRuntime* RealCluster::runtime(NodeId id) {
 }
 
 void RealCluster::SubmitNext(size_t client_index) {
-  Client& client = clients_[client_index];
-  NodeRuntime* leader =
-      runtime(NodeId{static_cast<uint16_t>(client.group), 0});
+  const int group = clients_->client(client_index).group;
+  NodeRuntime* leader = runtime(NodeId{static_cast<uint16_t>(group), 0});
   if (leader == nullptr) return;
   // The transaction is materialized on the leader's event-loop thread:
   // each group's payload generator and its clients' rngs are only ever
   // touched there (single-writer; see client_workloads_).
-  leader->Post([this, leader, client_index] {
-    Client& c = clients_[client_index];
-    Transaction txn;
-    txn.id = c.next_txn++;
-    txn.client = c.id;
-    txn.submit_time = leader->Elapsed();
-    txn.payload = client_workloads_[c.group]->NextPayload(c.rng);
-    c.submitted_at = Clock::now();
-    leader->node().SubmitClientTxn(std::move(txn));
+  leader->Post([this, leader, client_index, group] {
+    leader->node().SubmitClientTxn(clients_->NextTxn(
+        client_index, *client_workloads_[static_cast<size_t>(group)],
+        leader->Elapsed()));
   });
 }
 
-void RealCluster::OnTxnCommitted(const Transaction& txn) {
-  uint32_t group = txn.client >> 20;
-  uint32_t index = txn.client & 0xFFFFF;
-  size_t client_index =
-      static_cast<size_t>(group) *
-          static_cast<size_t>(config_.clients_per_group) +
-      index;
-  if (client_index >= clients_.size()) return;
-  const double latency_ms = MsSince(clients_[client_index].submitted_at);
+void RealCluster::OnTxnCommitted(NodeRuntime& leader, const Transaction& txn) {
+  const size_t client_index = clients_->IndexOf(txn.client);
+  if (client_index >= clients_->size()) return;
+  // submit_time was stamped by this same leader (SubmitNext), so the
+  // latency is wall time on one clock.
+  group_metrics_[static_cast<size_t>(clients_->client(client_index).group)]
+      .RecordCommit(txn.submit_time, leader.Elapsed());
   committed_.fetch_add(1, std::memory_order_relaxed);
-  latency_sum_us_.fetch_add(static_cast<uint64_t>(latency_ms * 1000.0),
-                            std::memory_order_relaxed);
-  latencies_[group].push_back(latency_ms);
   if (issuing_.load(std::memory_order_relaxed)) SubmitNext(client_index);
 }
 
@@ -277,10 +259,7 @@ bool RealCluster::DrainUntilStable() {
   // touch the store, so convergence is judged on state fingerprints: once
   // every replica holds the same fingerprint and no new transactions are
   // committing, all client work has been executed everywhere.
-  const auto deadline =
-      Clock::now() +
-      std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double>(config_.drain_timeout_seconds));
+  const auto deadline = Clock::now() + kDrainTimeout;
   uint64_t prev_committed = 0;
   bool had_stable_round = false;
   while (Clock::now() < deadline) {
@@ -407,36 +386,6 @@ void RealCluster::DumpFlightRecorders(const char* why) {
     rt->telemetry().flight().Dump(std::cerr, "node " + NodeName(rt->id()));
 }
 
-void RealCluster::SamplerLoop(Clock::time_point start) {
-  const double interval_s =
-      config_.sample_interval_s > 0 ? config_.sample_interval_s : 0.5;
-  uint64_t prev_committed = 0;
-  uint64_t prev_latency_us = 0;
-  for (int tick = 1; sampling_.load(std::memory_order_relaxed); ++tick) {
-    const auto bucket_end =
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(interval_s * tick));
-    while (sampling_.load(std::memory_order_relaxed) &&
-           Clock::now() < bucket_end) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    if (!sampling_.load(std::memory_order_relaxed)) return;
-    const uint64_t committed = committed_.load(std::memory_order_relaxed);
-    const uint64_t latency_us = latency_sum_us_.load(std::memory_order_relaxed);
-    const uint64_t delta = committed - prev_committed;
-    MetricsCollector::TimelinePoint point;
-    point.time_s = interval_s * tick;
-    point.tps = static_cast<double>(delta) / interval_s;
-    point.mean_latency_ms =
-        delta == 0 ? 0
-                   : static_cast<double>(latency_us - prev_latency_us) /
-                         1000.0 / static_cast<double>(delta);
-    timeline_.push_back(point);
-    prev_committed = committed;
-    prev_latency_us = latency_us;
-  }
-}
-
 Status RealCluster::WriteMergedTrace(const std::string& path) const {
   obs::ClusterTraceMerger merger;
   merger.set_unix_anchor_ns(obs::TraceClock::UnixAnchorNs());
@@ -451,23 +400,12 @@ Result<ExperimentResult> RealCluster::Run() {
   if (!setup_done_) return Status::FailedPrecondition("Setup() not called");
   const auto wall_start = Clock::now();
 
-  for (auto& rt : runtimes_) MASSBFT_RETURN_IF_ERROR(rt->Start());
-
-  // Timeline sampler: one thread turning the shared commit counters into
-  // per-bucket throughput/latency points (ExperimentResult::timeline).
-  // Relaxed: std::thread creation below happens-before the sampler's
-  // first load of the flag.
-  sampling_.store(true, std::memory_order_relaxed);
-  sampler_ = std::thread([this, wall_start] { SamplerLoop(wall_start); });
-  // Stops the sampler and (on the failure paths) preserves the evidence:
-  // flight recorders to stderr, merged trace to the configured path.
-  auto finish_sampling = [this] {
-    // Relaxed: the join provides the ordering edge (see ~RealCluster).
-    sampling_.store(false, std::memory_order_relaxed);
-    if (sampler_.joinable()) sampler_.join();
-  };
+  // Every failure preserves the evidence (flight recorders to stderr,
+  // merged trace to the configured path) and stops the cluster.
   auto fail = [&](const char* why, Status status) -> Status {
-    finish_sampling();
+    // Relaxed: only asks commit callbacks to stop resubmitting; the Stop()
+    // joins below are the ordering edge.
+    issuing_.store(false, std::memory_order_relaxed);
     DumpFlightRecorders(why);
     if (!config_.trace_path.empty()) (void)WriteMergedTrace(config_.trace_path);
     MutexLock lock(&introspection_mu_);
@@ -475,14 +413,20 @@ Result<ExperimentResult> RealCluster::Run() {
     return status;
   };
 
+  for (auto& rt : runtimes_) {
+    Status started = rt->Start();
+    if (!started.ok()) return fail("start failed", started);
+  }
+
   // Relaxed: commit callbacks only read issuing_ to decide whether to
   // resubmit; a stale true issues at most one extra transaction.
   issuing_.store(true, std::memory_order_relaxed);
-  for (size_t i = 0; i < clients_.size(); ++i) SubmitNext(i);
+  for (size_t i = 0; i < clients_->size(); ++i) SubmitNext(i);
 
   // Sleep out the issuing window, executing the crash/restart schedule at
   // its configured offsets.
-  MASSBFT_RETURN_IF_ERROR(IssueWindow());
+  Status issued = IssueWindow();
+  if (!issued.ok()) return fail("fault schedule failed", issued);
   issuing_.store(false, std::memory_order_relaxed);
   const double issue_window_s =
       std::chrono::duration<double>(Clock::now() - wall_start).count();
@@ -494,14 +438,13 @@ Result<ExperimentResult> RealCluster::Run() {
                 Status::Internal("cluster did not reach a stable agreed "
                                  "state within the drain timeout"));
   }
-  finish_sampling();
 
   // Collect per-node state through each node's own event loop, then stop.
   // Killed and rejoined nodes sit out the agreement check (same rule as
   // Experiment::CheckAgreement).
   std::vector<NodeId> agreed;
   std::vector<uint64_t> fingerprints;
-  std::vector<std::vector<std::pair<uint16_t, uint64_t>>> logs;
+  std::vector<ExecutionLog> logs;
   for (auto& rt : runtimes_) {
     if (!EligibleForAgreement(*rt)) continue;
     agreed.push_back(rt->id());
@@ -509,9 +452,14 @@ Result<ExperimentResult> RealCluster::Run() {
         rt->Call([](GroupNode& n) { return n.store().StateFingerprint(); }));
     logs.push_back(rt->Call([](GroupNode& n) { return n.execution_log(); }));
   }
+  ExperimentResult result;
   {
+    // Held past the stops: a stats handler runs inline on a stopped
+    // runtime, so the registries are read here under the same lock.
     MutexLock lock(&introspection_mu_);
     for (auto& rt : runtimes_) rt->Stop();
+    for (auto& rt : runtimes_) AddTelemetry(rt->telemetry(), &result);
+    result.nodes_killed = nodes_killed_;
   }
 
   if (fingerprints.empty())
@@ -519,45 +467,35 @@ Result<ExperimentResult> RealCluster::Run() {
                 Status::Internal("no continuously-correct node survived to "
                                  "the agreement check"));
 
-  // Agreement: identical fingerprints, and identical execution order over
-  // the common prefix (lengths differ only by the still-moving empty-entry
-  // tail; see DrainUntilStable).
+  // Agreement: identical fingerprints, and every execution log a prefix of
+  // the longest (lengths differ only by the still-moving empty-entry tail;
+  // see DrainUntilStable).
   for (size_t i = 1; i < fingerprints.size(); ++i) {
     if (fingerprints[i] != fingerprints[0])
       return fail("fingerprint divergence",
                   Status::Internal("state fingerprint divergence at node " +
                                    NodeName(agreed[i])));
-    size_t limit = std::min(logs[i].size(), logs[0].size());
-    for (size_t k = 0; k < limit; ++k) {
-      if (logs[i][k] != logs[0][k])
-        return fail("execution order divergence",
-                    Status::Internal("execution order divergence at node " +
-                                     NodeName(agreed[i]) + " position " +
-                                     std::to_string(k)));
-    }
   }
+  std::vector<const ExecutionLog*> log_views;
+  for (const ExecutionLog& log : logs) log_views.push_back(&log);
+  if (CommonPrefixLength(log_views) < 0)
+    return fail("execution order divergence",
+                Status::Internal("execution orders diverge: some node's log "
+                                 "is not a prefix of the longest"));
 
-  ExperimentResult result;
+  // The leaders' threads are joined: their collectors are safe to merge.
+  MetricsCollector metrics(0, std::numeric_limits<SimTime>::max());
+  for (const MetricsCollector& group : group_metrics_) metrics.Merge(group);
   result.mode = "real";
   result.crypto_mode = registry_->scheme_name();
   result.verify_batch_ratio = registry_->verify_batch_ratio();
-  // Relaxed: every runtime has been stopped (threads joined), so all
-  // commit increments already happened-before this read.
-  result.committed_txns = committed_.load(std::memory_order_relaxed);
+  result.committed_txns = metrics.committed();
   result.throughput_tps =
       static_cast<double>(result.committed_txns) / issue_window_s;
-  std::vector<double> all_latencies;
-  for (const auto& group_samples : latencies_)
-    all_latencies.insert(all_latencies.end(), group_samples.begin(),
-                         group_samples.end());
-  std::sort(all_latencies.begin(), all_latencies.end());
-  if (!all_latencies.empty()) {
-    double sum = 0;
-    for (double v : all_latencies) sum += v;
-    result.mean_latency_ms = sum / static_cast<double>(all_latencies.size());
-    result.p50_latency_ms = InterpolatedPercentile(all_latencies, 0.5);
-    result.p99_latency_ms = InterpolatedPercentile(all_latencies, 0.99);
-  }
+  result.mean_latency_ms = metrics.MeanLatencyMs();
+  result.p50_latency_ms = metrics.P50LatencyMs();
+  result.p99_latency_ms = metrics.P99LatencyMs();
+  result.timeline = metrics.Timeline();
   for (auto& rt : runtimes_) {
     result.total_wan_bytes += rt->network().wan_bytes_sent();
     result.total_lan_bytes += rt->network().lan_bytes_sent();
@@ -572,13 +510,9 @@ Result<ExperimentResult> RealCluster::Run() {
   }
   for (const FaultInjectingTransport* injector : fault_transports_)
     result.faults_injected += injector->fault_stats().total();
-  {
-    MutexLock lock(&introspection_mu_);
-    result.nodes_killed = nodes_killed_;
-  }
-  if (!logs.empty()) result.entries_proposed = logs[0].size();
-  result.timeline = timeline_;
-  result.wall_ms = MsSince(wall_start);
+  result.wall_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - wall_start)
+          .count();
   if (result.entries_proposed > 0)
     result.wan_bytes_per_entry =
         static_cast<double>(result.total_wan_bytes) /

@@ -2,15 +2,13 @@
 #define MASSBFT_RUNTIME_CLUSTER_H_
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/lock_rank.h"
 #include "common/result.h"
-#include "common/rng.h"
+#include "core/client_table.h"
 #include "core/experiment.h"
 #include "net/fault_transport.h"
 #include "net/inproc_transport.h"
@@ -32,9 +30,6 @@ struct RealClusterConfig {
   int clients_per_group = 16;
   /// Wall-clock transaction-issuing window.
   double duration_seconds = 3.0;
-  /// Extra wall-clock budget for every node to execute everything that
-  /// committed before issuing stopped.
-  double drain_timeout_seconds = 20.0;
   uint64_t seed = 42;
   /// Signature backend. Real clusters default to real ed25519 (RFC 8032);
   /// kSimulatedHmac remains available for apples-to-apples comparison with
@@ -63,24 +58,21 @@ struct RealClusterConfig {
   // ---- Observability (DESIGN.md §14).
   /// Record per-node protocol traces and write the merged cluster-wide
   /// Chrome trace (one process per node, cross-node flow arrows) here
-  /// after the run. Empty = no trace. Setting it implies enable_tracing.
+  /// after the run. Empty = no trace (and no trace recording).
   std::string trace_path;
-  /// Record traces without necessarily exporting them (tests inspect the
-  /// recorders directly; Run() only writes a file when trace_path is set).
-  bool enable_tracing = false;
   /// Live introspection: -1 = no stats server; otherwise a localhost HTTP
   /// server on this port (0 = ephemeral, see stats_port()) serving
   /// /metrics (Prometheus text) and /health (cluster JSON) from Setup()
   /// until destruction.
   int stats_port = -1;
-  /// Timeline bucket width for ExperimentResult::timeline in real mode.
-  double sample_interval_s = 0.5;
 };
 
 /// Builds one NodeRuntime per node, drives closed-loop clients against the
 /// group leaders for the configured duration, then drains until every node
 /// has executed the same entries and checks that all state fingerprints
-/// agree. Usage mirrors Experiment:
+/// agree. The client table, the agreement oracle and the telemetry half of
+/// the result are the ones Experiment uses (ClientTable,
+/// CommonPrefixLength, AddTelemetry). Usage mirrors Experiment:
 ///   RealCluster cluster(config);
 ///   MASSBFT_RETURN_IF_ERROR(cluster.Setup());
 ///   auto result = cluster.Run();   // Result<ExperimentResult>, mode "real"
@@ -126,20 +118,13 @@ class RealCluster {
   uint16_t stats_port() const { return stats_server_.port(); }
 
  private:
-  struct Client {
-    uint32_t id = 0;
-    int group = 0;
-    uint64_t next_txn = 0;
-    Rng rng;
-    std::chrono::steady_clock::time_point submitted_at;
-  };
-
   NodeRuntime* runtime(NodeId id);
   /// Posts the next transaction of client `client_index` to its group
   /// leader's event loop.
   void SubmitNext(size_t client_index);
-  /// Fired on the origin-group leader's event-loop thread.
-  void OnTxnCommitted(const Transaction& txn);
+  /// Fired on `leader`'s event-loop thread, `leader` being the origin
+  /// group's leader.
+  void OnTxnCommitted(NodeRuntime& leader, const Transaction& txn);
   /// True when `rt` should participate in agreement checks: running and
   /// never crashed (a rejoined learner's re-derived state is not
   /// authoritative).
@@ -162,9 +147,6 @@ class RealCluster {
   /// failure / drain timeout so the last events before the failure are in
   /// the log).
   void DumpFlightRecorders(const char* why);
-  /// Periodic sampler body: fills timeline_ every sample_interval_s from
-  /// the shared commit counters until sampling_ clears.
-  void SamplerLoop(std::chrono::steady_clock::time_point start);
 
   RealClusterConfig config_;
   std::unique_ptr<Topology> topology_;
@@ -175,20 +157,18 @@ class RealCluster {
   /// Per-group payload generators: group g's instance is only touched from
   /// g's leader event-loop thread (all of g's clients submit there).
   std::vector<std::unique_ptr<Workload>> client_workloads_;
-  std::vector<Client> clients_;
-  /// Per-group latency samples (ms), same single-writer discipline.
-  std::vector<std::vector<double>> latencies_;
+  std::unique_ptr<ClientTable> clients_;
+  /// Per-group commit accounting on the leader's Elapsed() clock, same
+  /// single-writer discipline; Run() merges them after the leaders stop.
+  std::vector<MetricsCollector> group_metrics_;
 
   /// All cross-thread counters below use relaxed ordering: they are
   /// independent monotone tallies read for progress probes and reporting,
   /// and every read that must be exact happens after a thread join that
   /// already provides the synchronizes-with edge.
   std::atomic<bool> issuing_{false};
+  /// Commits so far, for /health and the drain's progress probe.
   std::atomic<uint64_t> committed_{0};
-  /// Sum of commit latencies in microseconds (with committed_, lets the
-  /// sampler derive per-bucket mean latency without touching the
-  /// single-writer latencies_ vectors).
-  std::atomic<uint64_t> latency_sum_us_{0};
   bool setup_done_ = false;
 
   /// Serializes node lifecycle transitions (KillNode/RestartNode/final
@@ -199,12 +179,6 @@ class RealCluster {
   RankedMutex introspection_mu_{"cluster.introspection_mu",
                                 LockRank::kClusterIntrospection};
   obs::StatsServer stats_server_;
-
-  /// Timeline sampler (real-mode ExperimentResult::timeline). The sampler
-  /// thread is the only writer; Run() reads after joining it.
-  std::atomic<bool> sampling_{false};
-  std::thread sampler_;
-  std::vector<MetricsCollector::TimelinePoint> timeline_;
 
   /// Non-owning views of the per-node injectors (owned by the runtimes'
   /// transport chain); empty when net_faults.any() is false.

@@ -27,6 +27,12 @@ double LatencyStats::PercentileMs(double p) const {
          static_cast<double>(kMillisecond);
 }
 
+void LatencyStats::Merge(const LatencyStats& other) {
+  samples_.insert(samples_.end(), other.samples_.begin(),
+                  other.samples_.end());
+  sorted_ = false;
+}
+
 void MetricsCollector::RecordCommit(SimTime submit_time, SimTime commit_time,
                                     int txns) {
   SimTime latency = commit_time - submit_time;
@@ -38,6 +44,17 @@ void MetricsCollector::RecordCommit(SimTime submit_time, SimTime commit_time,
   if (commit_time < warmup_ || commit_time > horizon_) return;
   committed_ += txns;
   for (int i = 0; i < txns; ++i) latency_.Record(latency);
+}
+
+void MetricsCollector::Merge(const MetricsCollector& other) {
+  if (other.timeline_.size() > timeline_.size())
+    timeline_.resize(other.timeline_.size());
+  for (size_t i = 0; i < other.timeline_.size(); ++i) {
+    timeline_[i].txns += other.timeline_[i].txns;
+    timeline_[i].latency_sum += other.timeline_[i].latency_sum;
+  }
+  committed_ += other.committed_;
+  latency_.Merge(other.latency_);
 }
 
 double MetricsCollector::ThroughputTps() const {

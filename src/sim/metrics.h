@@ -10,8 +10,8 @@
 namespace massbft {
 
 /// Linear-interpolated percentile over an ascending-sorted sample vector
-/// (p in [0, 1]); the single implementation shared by the sim-side
-/// LatencyStats and the threaded runtime's wall-clock samples. A
+/// (p in [0, 1]); the single implementation shared by LatencyStats (both
+/// harnesses' commit latencies) and the benchmark driver. A
 /// floor-truncated nearest-rank underreports upper percentiles on small
 /// samples (p99 of 100 samples would return sorted[98]); interpolating
 /// between the neighboring ranks does not. Returns 0 when empty.
@@ -45,6 +45,8 @@ class LatencyStats {
     samples_.clear();
     sorted_ = false;
   }
+  /// Appends every sample of `other`.
+  void Merge(const LatencyStats& other);
 
  private:
   mutable std::vector<SimTime> samples_;
@@ -52,7 +54,7 @@ class LatencyStats {
   void EnsureSorted() const;
 };
 
-/// Per-experiment throughput/latency collector. Protocol nodes report each
+/// Per-experiment throughput/latency collector. The harness reports each
 /// committed transaction with its submit time; the collector provides
 ///   * overall throughput over a measurement window (warmup excluded),
 ///   * mean/percentile commit latency,
@@ -66,11 +68,12 @@ class MetricsCollector {
       : warmup_(warmup), horizon_(horizon), bucket_(timeline_bucket) {}
 
   void RecordCommit(SimTime submit_time, SimTime commit_time, int txns = 1);
-  /// Records a transaction aborted permanently (after retry budget).
-  void RecordAbort(int txns = 1) { aborted_ += txns; }
+  /// Folds `other`'s commits into this collector (same bucket width): the
+  /// threaded harness keeps one collector per group leader and merges them
+  /// once the leaders' threads are joined.
+  void Merge(const MetricsCollector& other);
 
   uint64_t committed() const { return committed_; }
-  uint64_t aborted() const { return aborted_; }
 
   /// Committed transactions per second within [warmup, horizon].
   double ThroughputTps() const;
@@ -91,7 +94,6 @@ class MetricsCollector {
   SimTime horizon_;
   SimTime bucket_;
   uint64_t committed_ = 0;
-  uint64_t aborted_ = 0;
   LatencyStats latency_;
   struct Bucket {
     uint64_t txns = 0;

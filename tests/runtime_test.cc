@@ -201,10 +201,9 @@ std::string HttpGet(uint16_t port, const std::string& path) {
 TEST(RealClusterTest, ObservabilityEndToEnd) {
   // The full DESIGN.md §14 surface in one faulty run: merged cluster trace
   // with cross-node flow arrows, mid-run Prometheus + health scrapes, and
-  // a populated real-mode timeline.
+  // a populated real-mode timeline and phase breakdown.
   RealClusterConfig config = SmallConfig();
   config.duration_seconds = 1.5;
-  config.sample_interval_s = 0.25;
   config.stats_port = 0;  // Ephemeral.
   config.trace_path = testing::TempDir() + "/runtime_obs_trace.json";
   config.net_faults.seed = config.seed;
@@ -243,13 +242,19 @@ TEST(RealClusterTest, ObservabilityEndToEnd) {
   EXPECT_NE(health.find("\"queue_depth\""), std::string::npos);
   EXPECT_NE(health.find("\"reconnects\""), std::string::npos);
 
-  // The periodic sampler filled the real-mode timeline, and some bucket
+  // The commit accounting filled the real-mode timeline, and some bucket
   // saw commits.
   ASSERT_FALSE(result->timeline.empty());
   double peak_tps = 0;
   for (const auto& point : result->timeline)
     peak_tps = std::max(peak_tps, point.tps);
   EXPECT_GT(peak_tps, 0.0);
+
+  // The per-node telemetry filled the same phase/batch fields the
+  // simulator reports.
+  EXPECT_GT(result->phases.entries, 0u);
+  EXPECT_GT(result->avg_batch_size, 0.0);
+  EXPECT_EQ(result->entries_proposed, result->phases.entries);
 
   // The merged trace exists, is one document for the whole cluster, and
   // carries cross-node flow arrows synthesized from wire trace contexts.

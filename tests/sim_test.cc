@@ -391,10 +391,20 @@ TEST(MetricsTest, TimelineBucketsByCommitTime) {
   EXPECT_DOUBLE_EQ(timeline[2].tps, 20.0);
 }
 
-TEST(MetricsTest, AbortsCounted) {
-  MetricsCollector metrics(0, kSecond);
-  metrics.RecordAbort(3);
-  EXPECT_EQ(metrics.aborted(), 3u);
+TEST(MetricsTest, MergeFoldsCommitsLatenciesAndTimeline) {
+  MetricsCollector a(0, 10 * kSecond, kSecond);
+  MetricsCollector b(0, 10 * kSecond, kSecond);
+  a.RecordCommit(0, 10 * kMillisecond);
+  b.RecordCommit(0, 30 * kMillisecond);
+  b.RecordCommit(kSecond, 2 * kSecond + 20 * kMillisecond);
+  a.Merge(b);
+  EXPECT_EQ(a.committed(), 3u);
+  EXPECT_DOUBLE_EQ(a.P50LatencyMs(), 30.0);
+  auto timeline = a.Timeline();
+  ASSERT_EQ(timeline.size(), 3u);
+  EXPECT_DOUBLE_EQ(timeline[0].tps, 2.0);
+  EXPECT_DOUBLE_EQ(timeline[0].mean_latency_ms, 20.0);
+  EXPECT_DOUBLE_EQ(timeline[2].tps, 1.0);
 }
 
 // Regression: Record() after a percentile read must invalidate the sorted
