@@ -39,25 +39,25 @@ GroupBreakdown Run(ProtocolConfig protocol, const BenchOptions& opts) {
   Experiment experiment(config);
   Status status = experiment.Setup();
   MASSBFT_CHECK(status.ok());
+  // Per-group throughput from each group leader's own clock (committed own
+  // entries) at the end of the measured run, before the liveness drain,
+  // times the average batch size.
+  uint64_t own_entries[3] = {};
+  experiment.sim().ScheduleAt(config.duration, [&experiment, &own_entries] {
+    for (int g = 0; g < 3; ++g)
+      own_entries[g] =
+          experiment.node(NodeId{static_cast<uint16_t>(g), 0})->own_clock();
+  });
   ExperimentResult result = experiment.Run();
+  ExitIfStalled(result);
 
   GroupBreakdown breakdown{};
   breakdown.total_ktps = result.throughput_tps / 1000.0;
   breakdown.latency_ms = result.mean_latency_ms;
-  // Per-group throughput from each group leader's own-entry executions —
-  // count committed transactions of entries the group itself proposed.
-  double window_s = SimToSeconds(config.duration - config.warmup);
-  for (int g = 0; g < 3; ++g) {
-    const GroupNode* leader =
-        experiment.node(NodeId{static_cast<uint16_t>(g), 0});
-    // executed_txns counts all groups' txns; approximate the per-group
-    // share via the leader's own clock (committed own entries) times the
-    // average batch size.
-    breakdown.per_group_ktps[g] =
-        static_cast<double>(leader->own_clock()) *
-        result.avg_batch_size / SimToSeconds(config.duration) / 1000.0;
-  }
-  (void)window_s;
+  for (int g = 0; g < 3; ++g)
+    breakdown.per_group_ktps[g] = static_cast<double>(own_entries[g]) *
+                                  result.avg_batch_size /
+                                  SimToSeconds(config.duration) / 1000.0;
   return breakdown;
 }
 

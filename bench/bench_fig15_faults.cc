@@ -59,5 +59,6 @@ int main(int argc, char** argv) {
   std::printf("\nagreement across surviving nodes: %s (%lld entries)\n",
               agreement >= 0 ? "OK" : "DIVERGED",
               static_cast<long long>(agreement));
+  ExitIfStalled(result);
   return agreement >= 0 ? 0 : 1;
 }

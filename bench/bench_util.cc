@@ -146,7 +146,18 @@ ExperimentResult RunOnce(ExperimentConfig config) {
       out << g_json_runs[i] << (i + 1 < g_json_runs.size() ? ",\n" : "\n");
     out << "]\n";
   }
+  ExitIfStalled(result);
   return result;
+}
+
+void ExitIfStalled(const ExperimentResult& result) {
+  if (result.failed == 0) return;
+  std::fflush(stdout);
+  std::fprintf(stderr,
+               "liveness oracle: %llu submitted transactions never "
+               "committed\n",
+               static_cast<unsigned long long>(result.failed));
+  std::exit(1);
 }
 
 OperatingPoint FindKnee(ExperimentConfig base,

@@ -58,8 +58,13 @@ struct OperatingPoint {
 };
 
 /// Runs one experiment config and returns its result (dies on setup
-/// errors — bench configs are static).
+/// errors — bench configs are static — and, through ExitIfStalled, on a
+/// run that left transactions uncommitted).
 ExperimentResult RunOnce(ExperimentConfig config);
+
+/// The liveness oracle every figure bench applies: when `result.failed`
+/// is non-zero, reports it and exits the process with status 1.
+void ExitIfStalled(const ExperimentResult& result);
 
 /// Paper-style "throughput and latency" measurement: peak throughput is
 /// the maximum over a closed-loop client ladder; latency is measured in a

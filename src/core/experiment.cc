@@ -23,6 +23,7 @@ std::string ExperimentResult::ToJson() const {
   w.Member("p50_latency_ms", p50_latency_ms);
   w.Member("p99_latency_ms", p99_latency_ms);
   w.Member("committed_txns", committed_txns);
+  w.Member("failed", failed);
   w.Member("aborted_txns", aborted_txns);
   w.Member("conflict_aborts", conflict_aborts);
   w.Member("avg_batch_size", avg_batch_size);
@@ -207,6 +208,13 @@ Status Experiment::Setup() {
     sim_->Schedule(config_.faults.crash_at, [this, g] {
       for (auto& n : nodes_)
         if (n->id().group == g) n->Crash();
+      // Transactions held by the crashed leader are lost with it, not
+      // stalled.
+      std::erase_if(in_flight_, [this, g](uint64_t txn_id) {
+        const size_t index =
+            clients_->IndexOf(static_cast<uint32_t>(txn_id >> 32));
+        return clients_->client(index).group == g;
+      });
     });
     if (config_.faults.recover_at > config_.faults.crash_at) {
       sim_->Schedule(config_.faults.recover_at, [this, g] {
@@ -222,6 +230,7 @@ Status Experiment::Setup() {
 }
 
 void Experiment::SubmitNext(size_t client_index) {
+  if (!issuing_) return;
   const ClientTable::Client& client = clients_->client(client_index);
   GroupNode* leader = node(NodeId{static_cast<uint16_t>(client.group), 0});
   if (leader == nullptr || leader->crashed()) return;  // Group down.
@@ -241,12 +250,15 @@ void Experiment::SubmitNext(size_t client_index) {
     const int group = clients_->client(client_index).group;
     GroupNode* l = node(NodeId{static_cast<uint16_t>(group), 0});
     if (l == nullptr || l->crashed()) return;
-    l->SubmitClientTxn(
-        clients_->NextTxn(client_index, *workload_, submit_time));
+    Transaction txn = clients_->NextTxn(client_index, *workload_, submit_time);
+    in_flight_.insert(txn.id);
+    l->SubmitClientTxn(std::move(txn));
   });
 }
 
 void Experiment::OnTxnCommitted(const Transaction& txn, SimTime commit_time) {
+  in_flight_.erase(txn.id);
+  last_commit_at_ = commit_time;
   metrics_->RecordCommit(txn.submit_time, commit_time + config_.client_rtt / 2);
   const size_t client_index = clients_->IndexOf(txn.client);
   if (client_index >= clients_->size()) return;
@@ -311,6 +323,18 @@ ExperimentResult Experiment::Run() {
         1000.0 / wall_ms;
     result.sim_time_ratio = SimToSeconds(config_.duration) * 1000.0 / wall_ms;
   }
+
+  // Liveness oracle: stop issuing and let every submitted transaction
+  // commit. One still pending when commits have stopped is a stall that
+  // the closed loop would otherwise hide (its client just goes quiet).
+  issuing_ = false;
+  for (SimTime t = config_.duration;
+       !in_flight_.empty() &&
+       t < std::max(last_commit_at_, config_.duration) + kDrainQuiet;) {
+    t += 100 * kMillisecond;
+    sim_->RunUntil(t);
+  }
+  result.failed = in_flight_.size();
   return result;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,6 +76,9 @@ struct ExperimentResult {
   double p50_latency_ms = 0;
   double p99_latency_ms = 0;
   uint64_t committed_txns = 0;
+  /// Liveness oracle: transactions submitted to a leader that stayed up and
+  /// still uncommitted after the drain (Experiment::Run). 0 unless stalled.
+  uint64_t failed = 0;
   /// Permanently-aborted (business-abort) transactions: they completed
   /// deterministically with no effects and were not retried.
   uint64_t aborted_txns = 0;
@@ -146,7 +150,13 @@ class Experiment {
   Experiment& operator=(const Experiment&) = delete;
 
   Status Setup();
+  /// Runs to `duration` and reads the result there, then stops issuing and
+  /// drains until nothing is pending or nothing commits for kDrainQuiet.
   ExperimentResult Run();
+
+  /// A saturated leader may hold thousands of queued transactions and
+  /// commit them in bursts seconds apart; a stalled one commits nothing.
+  static constexpr SimTime kDrainQuiet = 10 * kSecond;
 
   // ---- Observability.
   /// Cluster-wide telemetry (valid after Setup()).
@@ -185,6 +195,10 @@ class Experiment {
   std::unique_ptr<ClusterContext> ctx_;
   std::vector<std::unique_ptr<GroupNode>> nodes_;
   std::unique_ptr<ClientTable> clients_;
+  /// Ids of transactions submitted to a live leader and not yet committed.
+  std::set<uint64_t> in_flight_;
+  SimTime last_commit_at_ = 0;
+  bool issuing_ = true;
   bool setup_done_ = false;
 };
 

@@ -261,7 +261,6 @@ void GroupNode::OnLocalCommitted(EntryPtr entry, Certificate cert) {
   if (rec.payload_available) return;  // View-change duplicate.
   rec.entry = entry;
   rec.cert = cert;
-  rec.has_cert = true;
   rec.payload_available = true;
   rec.local_committed_at = Now();
   if (rec.created_at >= 0)
@@ -342,23 +341,15 @@ void GroupNode::SendBijective(const EntryPtr& entry, const Certificate& cert) {
 
 std::shared_ptr<const EncodedEntry> GroupNode::GetEncoded(
     const EntryPtr& entry, const TransferPlan& plan, bool tampered) {
-  if (tampered) {
-    auto key = std::make_pair(entry->digest(), plan.n_total());
-    auto it = ctx_->tampered_cache.find(key);
-    if (it != ctx_->tampered_cache.end()) return it->second;
-    auto encoded = EncodeBytesForPlan(TamperedBytes(entry->Encoded()), plan);
-    MASSBFT_CHECK(encoded.ok());
-    auto ptr = std::make_shared<const EncodedEntry>(std::move(*encoded));
-    ctx_->tampered_cache[key] = ptr;
-    return ptr;
-  }
+  auto& cache = tampered ? ctx_->tampered_cache : ctx_->encode_cache;
   auto key = std::make_pair(entry->digest(), plan.n_total());
-  auto it = ctx_->encode_cache.find(key);
-  if (it != ctx_->encode_cache.end()) return it->second;
-  auto encoded = EncodeEntryForPlan(*entry, plan);
+  if (auto it = cache.find(key); it != cache.end()) return it->second;
+  auto encoded =
+      tampered ? EncodeBytesForPlan(TamperedBytes(entry->Encoded()), plan)
+               : EncodeEntryForPlan(*entry, plan);
   MASSBFT_CHECK(encoded.ok());
   auto ptr = std::make_shared<const EncodedEntry>(std::move(*encoded));
-  ctx_->encode_cache[key] = ptr;
+  cache[key] = ptr;
   return ptr;
 }
 
@@ -429,51 +420,37 @@ void GroupNode::OnEntryTransfer(NodeId from, const EntryTransferMsg& msg) {
   }
 }
 
-void GroupNode::OnChunkBatch(NodeId from, const ChunkBatchMsg& msg) {
+void GroupNode::OnChunkBatch(NodeId from, const MessagePtr& message) {
+  const auto& msg = static_cast<const ChunkBatchMsg&>(*message);
   Key key{msg.gid(), msg.seq()};
   EntryRecord& rec = GetRecord(key);
-  bool from_wan = from.group != my_group();
-
+  auto plan =
+      TransferPlan::Create(group_size(msg.gid()), group_size(my_group()));
+  if (!plan.ok()) return;
   if (rec.rebuilder == nullptr && !rec.payload_available) {
-    auto plan = TransferPlan::Create(group_size(msg.gid()),
-                                     group_size(my_group()));
-    if (!plan.ok()) return;
     EntryRebuilder::Config cfg;
     cfg.n_total = plan->n_total();
     cfg.n_data = plan->n_data();
-    cfg.validate = [this](const Certificate& cert,
-                          const Digest& entry_digest) {
-      return VerifyGroupCert(cert, entry_digest);
+    cfg.validate = [this, gid = msg.gid()](const Certificate& cert,
+                                           const Digest& entry_digest) {
+      return cert.gid == gid && VerifyGroupCert(cert, entry_digest);
     };
     cfg.telemetry = tel_;
     rec.rebuilder = std::make_unique<EntryRebuilder>(std::move(cfg));
     rec.first_chunk_at = Now();
   }
 
-  // Feed chunks (Merkle proof verification cost per chunk).
+  // Feed chunks (Merkle proof verification cost per chunk). The payload
+  // comes only from n_data verified chunks this node holds itself.
   if (rec.rebuilder != nullptr && !rec.payload_available) {
     for (const Chunk& chunk : msg.chunks()) {
       cpu().ChargeHash(chunk.data.size() + 32 * chunk.proof.path.size());
-      // Deterministic-decode cache: if some node already rebuilt and
-      // validated this root, adopt the entry (CPU charged all the same).
-      auto cached = ctx_->rebuild_cache.find(msg.merkle_root());
-      if (cached != ctx_->rebuild_cache.end()) {
-        cpu().ChargeEc(msg.entry_size());
-        cpu().ChargeHash(msg.entry_size());
-        if (IsGroupLeader())
-          tel_->RecordPhaseSpan(obs::Phase::kRebuild, trace_track_,
-                                rec.first_chunk_at, Now(), key.first,
-                                key.second);
-        StorePayload(key, cached->second, msg.cert());
-        break;
-      }
       auto result = rec.rebuilder->AddChunk(msg.merkle_root(), chunk.chunk_id,
                                             chunk.data, chunk.proof,
                                             msg.cert());
       if (result == EntryRebuilder::AddResult::kRebuilt) {
         cpu().ChargeEc(msg.entry_size());
         cpu().ChargeHash(msg.entry_size());
-        ctx_->rebuild_cache[msg.merkle_root()] = rec.rebuilder->entry();
         if (IsGroupLeader())
           tel_->RecordPhaseSpan(obs::Phase::kRebuild, trace_track_,
                                 rec.first_chunk_at, Now(), key.first,
@@ -484,37 +461,28 @@ void GroupNode::OnChunkBatch(NodeId from, const ChunkBatchMsg& msg) {
     }
   }
 
-  // WAN receivers exchange their chunks within the group over LAN
-  // (Section IV-B). Byzantine receivers substitute colluded tampered
-  // chunks (Fig 15).
-  if (from_wan && !rec.chunks_shared) {
-    rec.chunks_shared = true;
-    bool byz = fault_.byzantine && Now() >= fault_.byzantine_from;
-    std::vector<Chunk> to_share = msg.chunks();
-    Digest share_root = msg.merkle_root();
-    if (byz) {
-      // A Byzantine receiver substitutes the colluded tampered encoding's
-      // chunks for its assigned chunk ids (Fig 15); the tampered chunks
-      // carry the tampered Merkle root, so honest receivers bucket them
-      // separately from the correct ones.
-      auto plan = TransferPlan::Create(group_size(msg.gid()),
-                                       group_size(my_group()));
-      if (plan.ok()) {
-        auto it = ctx_->tampered_cache.find(
-            std::make_pair(msg.cert().digest, plan->n_total()));
-        if (it != ctx_->tampered_cache.end()) {
-          const auto& encoded = it->second;
-          to_share.clear();
-          for (const Chunk& c : msg.chunks())
-            to_share.push_back(encoded->chunks[c.chunk_id]);
-          share_root = encoded->merkle_root;
-        }
-      }
+  // A WAN receiver forwards every WAN batch to its group over LAN as it
+  // arrives (Section IV-B): under an LCM plan its chunks come from several
+  // senders, and each peer needs them all to reach n_data.
+  if (from.group == my_group()) return;
+  MessagePtr share = message;
+  if (fault_.byzantine && Now() >= fault_.byzantine_from) {
+    // A Byzantine receiver substitutes the colluded tampered encoding's
+    // chunks for its assigned chunk ids (Fig 15); the tampered chunks
+    // carry the tampered Merkle root, so honest receivers bucket them
+    // separately from the correct ones.
+    auto it = ctx_->tampered_cache.find(
+        std::make_pair(msg.cert().digest, plan->n_total()));
+    if (it != ctx_->tampered_cache.end()) {
+      std::vector<Chunk> tampered;
+      for (const Chunk& c : msg.chunks())
+        tampered.push_back(it->second->chunks[c.chunk_id]);
+      share = std::make_shared<ChunkBatchMsg>(
+          msg.gid(), msg.seq(), it->second->merkle_root, msg.cert(),
+          std::move(tampered), msg.entry_size());
     }
-    BroadcastLan(std::make_shared<ChunkBatchMsg>(
-        msg.gid(), msg.seq(), share_root, msg.cert(), std::move(to_share),
-        msg.entry_size()));
   }
+  BroadcastLan(share);
 }
 
 void GroupNode::StorePayload(const Key& key, EntryPtr entry,
@@ -523,7 +491,6 @@ void GroupNode::StorePayload(const Key& key, EntryPtr entry,
   if (rec.payload_available) return;
   rec.entry = std::move(entry);
   rec.cert = cert;
-  rec.has_cert = true;
   rec.payload_available = true;
   rec.rebuilder.reset();
   MarkPayloadAvailable(key);
@@ -908,7 +875,13 @@ void GroupNode::ExecuteEntry(uint16_t gid, uint64_t seq) {
   unexecuted_committed_.erase(key);
   executed_next_[gid] = std::max(executed_next_[gid], seq + 1);
   execution_log_.emplace_back(gid, seq);
-  if (!executed_digests_.insert(rec.entry->digest()).second) return;
+  // No sender encodes an executed entry again: drop its memoized encodings.
+  const Digest& digest = rec.entry->digest();
+  auto& memo = ctx_->encode_cache;
+  for (auto it = memo.lower_bound({digest, 0});
+       it != memo.end() && it->first.first == digest;)
+    it = memo.erase(it);
+  if (!executed_digests_.insert(digest).second) return;
 
   const EntryPtr& entry = rec.entry;
   int n = entry->num_txns();
@@ -989,7 +962,7 @@ void GroupNode::HandleMessage(NodeId from, MessagePtr message) {
       OnEntryTransfer(from, static_cast<const EntryTransferMsg&>(*message));
       break;
     case MessageType::kChunkBatch:
-      OnChunkBatch(from, static_cast<const ChunkBatchMsg&>(*message));
+      OnChunkBatch(from, message);
       break;
     case MessageType::kRaftPropose: {
       const auto& propose = static_cast<const RaftProposeMsg&>(*message);
@@ -1101,7 +1074,7 @@ void GroupNode::Recover() {
   if (raft_ != nullptr) {
     for (const auto& [key, rec] : entries_) {
       if (key.first != my_group()) continue;
-      if (!rec.payload_available || !rec.has_cert || rec.globally_committed)
+      if (!rec.payload_available || rec.globally_committed)
         continue;
       SendLeaderOneWay(rec.entry, rec.cert);
       raft_->Propose(key.first, key.second, rec.entry->digest(), rec.cert);
@@ -1123,7 +1096,7 @@ void GroupNode::OnCatchUpRequest(NodeId from, const CatchUpRequestMsg& msg) {
     // Ship every payload we hold past the frontier — entries whose chunks
     // were dropped while the requester was down may not be globally
     // committed yet at snapshot time.
-    if (rec.payload_available && rec.has_cert)
+    if (rec.payload_available)
       SendWan(from, std::make_shared<EntryTransferMsg>(rec.entry, rec.cert));
     if (!rec.globally_committed) continue;
     commits.push_back(

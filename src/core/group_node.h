@@ -66,12 +66,11 @@ struct ClusterContext {
   std::function<void(const Transaction&, SimTime commit_time)>
       on_txn_committed;
 
-  /// Pure-optimization caches (results identical with or without; the
-  /// simulated CPU cost is still charged per node). Keyed so Byzantine
-  /// (tampered) encodings never collide with correct ones.
+  /// RS encodings by (entry digest, n_total), erased when a node executes
+  /// the entry. Encoding is deterministic, so results are identical with or
+  /// without the memo; every sender still pays the simulated encode CPU.
   std::map<std::pair<Digest, int>, std::shared_ptr<const EncodedEntry>>
       encode_cache;
-  std::map<Digest, EntryPtr> rebuild_cache;  // Merkle root -> decoded entry.
 
   /// Collusion channel for the Fig 15 Byzantine experiment: tampered
   /// encodings shared among faulty nodes (out-of-band in a real attack).
@@ -155,12 +154,10 @@ class GroupNode : public Actor {
   struct EntryRecord {
     EntryPtr entry;
     Certificate cert;
-    bool has_cert = false;
     bool payload_available = false;  // Entry bytes present and validated.
     bool globally_committed = false;
     bool executed = false;
     bool lan_forwarded = false;
-    bool chunks_shared = false;
     std::unique_ptr<EntryRebuilder> rebuilder;
     SimTime first_chunk_at = -1;
     SimTime created_at = -1;
@@ -217,7 +214,7 @@ class GroupNode : public Actor {
 
   // ---- Replication (receive side).
   void OnEntryTransfer(NodeId from, const EntryTransferMsg& msg);
-  void OnChunkBatch(NodeId from, const ChunkBatchMsg& msg);
+  void OnChunkBatch(NodeId from, const MessagePtr& message);
   void StorePayload(const Key& key, EntryPtr entry, const Certificate& cert);
   void MarkPayloadAvailable(const Key& key);
   EntryRecord& GetRecord(const Key& key) { return entries_[key]; }

@@ -1,6 +1,8 @@
 #include "replication/rebuilder.h"
 
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "ec/reed_solomon.h"
@@ -72,62 +74,57 @@ EntryRebuilder::AddResult EntryRebuilder::AddChunk(const Digest& root,
     return Count(AddResult::kRejected);
 
   Bucket& bucket = buckets_[root];
-  auto [it, inserted] = bucket.chunks.emplace(
-      chunk_id, std::make_pair(data, proof));
-  if (!inserted) return Count(AddResult::kDuplicate);
-
-  if (static_cast<int>(bucket.chunks.size()) >= config_.n_data)
-    return Count(TryRebuild(root, bucket, cert));
-  return Count(AddResult::kPending);
+  const bool inserted =
+      bucket.chunks.emplace(chunk_id, std::make_pair(data, proof)).second;
+  // A decoded bucket without a valid certificate retries with every chunk
+  // of its root, repeats included; otherwise a repeat changes nothing.
+  if (!inserted && bucket.candidate == nullptr)
+    return Count(AddResult::kDuplicate);
+  if (static_cast<int>(bucket.chunks.size()) < config_.n_data)
+    return Count(AddResult::kPending);
+  AddResult result = TryRebuild(bucket, cert);
+  if (!inserted && result == AddResult::kPending) result = AddResult::kDuplicate;
+  return Count(result);
 }
 
-EntryRebuilder::AddResult EntryRebuilder::TryRebuild(const Digest& root,
-                                                     Bucket& bucket,
+EntryRebuilder::AddResult EntryRebuilder::TryRebuild(Bucket& bucket,
                                                      const Certificate& cert) {
-  auto rs = ReedSolomon::Shared(config_.n_data,
-                                config_.n_total - config_.n_data);
-  MASSBFT_CHECK(rs.ok());
-
-  std::vector<std::optional<Bytes>> shards(config_.n_total);
-  for (const auto& [id, chunk] : bucket.chunks) shards[id] = chunk.first;
-  auto decoded = (*rs)->DecodeMessage(shards);
-
-  bool valid = false;
-  EntryPtr candidate;
-  if (decoded.ok()) {
+  if (bucket.candidate == nullptr) {
+    auto rs = ReedSolomon::Shared(config_.n_data,
+                                  config_.n_total - config_.n_data);
+    MASSBFT_CHECK(rs.ok());
+    std::vector<std::optional<Bytes>> shards(config_.n_total);
+    for (const auto& [id, chunk] : bucket.chunks) shards[id] = chunk.first;
+    auto decoded = (*rs)->DecodeMessage(shards);
+    if (!decoded.ok()) return Ban(bucket);
     auto entry = Entry::Decode(*decoded);
-    if (entry.ok()) {
-      candidate = *entry;
-      valid = config_.validate(cert, candidate->digest());
-    }
+    if (!entry.ok()) return Ban(bucket);
+    bucket.candidate = *entry;
   }
 
-  if (!valid) {
-    // Every chunk in this bucket is provably fake (they share the root).
-    // Mark the root so its refills are refused without another rebuild
-    // attempt (DoS defense, Section IV-C) and free the chunk data — a
-    // fake bucket must not pin memory either.
-    bucket.proven_fake = true;
-    banned_total_ += bucket.chunks.size();
-    bucket.chunks.clear();
-    return AddResult::kBucketFake;
+  const Digest& digest = bucket.candidate->digest();
+  if (cert.digest == digest) {
+    // The honest path: one certificate check. A forged certificate leaves
+    // the bucket waiting for the next chunk's.
+    if (!config_.validate(cert, digest)) return AddResult::kPending;
+    entry_ = std::move(bucket.candidate);
+    return AddResult::kRebuilt;
   }
-
-  entry_ = std::move(candidate);
-  winning_root_ = root;
-  return AddResult::kRebuilt;
+  // The sender group certified another digest: every chunk of this bucket
+  // is fake. A certificate that does not verify proves nothing.
+  if (config_.validate(cert, cert.digest)) return Ban(bucket);
+  return AddResult::kPending;
 }
 
-std::vector<EntryRebuilder::HeldChunk> EntryRebuilder::HeldChunks() const {
-  std::vector<HeldChunk> held;
-  for (const auto& [root, bucket] : buckets_) {
-    if (bucket.proven_fake) continue;
-    // Once rebuilt, only re-share the winning bucket.
-    if (complete() && root != winning_root_) continue;
-    for (const auto& [id, chunk] : bucket.chunks)
-      held.push_back({root, id, chunk.first, chunk.second});
-  }
-  return held;
+EntryRebuilder::AddResult EntryRebuilder::Ban(Bucket& bucket) {
+  // Mark the root so its refills are refused without another rebuild
+  // attempt (DoS defense, Section IV-C) and free the chunk data — a fake
+  // bucket must not pin memory either.
+  bucket.proven_fake = true;
+  banned_total_ += bucket.chunks.size();
+  bucket.chunks.clear();
+  bucket.candidate.reset();
+  return AddResult::kBucketFake;
 }
 
 }  // namespace massbft

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
@@ -23,16 +21,18 @@ namespace massbft {
 /// Incoming chunks are verified against their Merkle proofs and grouped
 /// into buckets by Merkle root: chunks sharing a root were provably encoded
 /// from one candidate entry, so tampered chunks can never pollute a correct
-/// bucket. Once a bucket holds n_data distinct chunk ids the entry is
-/// rebuilt and validated against the PBFT certificate; a failed validation
-/// proves every chunk in that bucket fake. The fake *root* is remembered
-/// (and the bucket's memory freed) so refills of it are refused in O(1)
-/// without re-verification or another rebuild — DoS-by-refill defense.
-/// The ban is per-root, never global by chunk id: a Byzantine bucket
-/// covering ids 0..n_data-1 must not block the genuine bucket's chunks
-/// with the same ids. Filling a fresh fake bucket costs the attacker
-/// n_data valid Merkle proofs under a new root per rebuild attempt — the
-/// cost asymmetry favors the defender.
+/// bucket. Once a bucket holds n_data distinct chunk ids it is decoded and
+/// checked against the certificate of the chunk that completed it. A root
+/// is banned only on the bucket's own evidence: it does not decode, or a
+/// certificate that verifies for the sender group names another digest. A
+/// forged certificate proves nothing about the chunks, so the bucket waits
+/// for the next chunk's. A banned root's memory is freed and its refills
+/// are refused in O(1) without re-verification or another rebuild —
+/// DoS-by-refill defense. The ban is per root, never by chunk id: a
+/// Byzantine bucket covering ids 0..n_data-1 must not block the genuine
+/// bucket's chunks with the same ids. Filling a fresh fake bucket costs
+/// the attacker n_data valid Merkle proofs under a new root per rebuild
+/// attempt — the cost asymmetry favors the defender.
 class EntryRebuilder {
  public:
   struct Config {
@@ -51,11 +51,11 @@ class EntryRebuilder {
 
   /// Outcome of feeding one chunk.
   enum class AddResult {
-    kPending,      // Stored; not enough chunks yet.
+    kPending,      // Stored; not enough chunks or no valid certificate yet.
     kDuplicate,    // Already had this chunk (or its root is proven fake).
     kRejected,     // Bad Merkle proof / id out of range.
     kRebuilt,      // Entry reconstructed and validated; see entry().
-    kBucketFake,   // Bucket filled but failed validation; root banned.
+    kBucketFake,   // Bucket filled and proven fake; root banned.
   };
 
   explicit EntryRebuilder(Config config);
@@ -68,28 +68,19 @@ class EntryRebuilder {
   bool complete() const { return entry_ != nullptr; }
   const EntryPtr& entry() const { return entry_; }
 
-  /// Chunks this node verified and holds from the winning/any bucket —
-  /// what it re-shares over LAN. Returns (root, chunk_id, data, proof).
-  struct HeldChunk {
-    Digest root;
-    uint32_t chunk_id;
-    Bytes data;
-    MerkleProof proof;
-  };
-  std::vector<HeldChunk> HeldChunks() const;
-
   /// Total chunks discarded inside proven-fake buckets (per-root scope).
   int banned_count() const { return static_cast<int>(banned_total_); }
-  int bucket_count() const { return static_cast<int>(buckets_.size()); }
 
  private:
   struct Bucket {
     std::map<uint32_t, std::pair<Bytes, MerkleProof>> chunks;
+    EntryPtr candidate;  // Decoded; waiting for a certificate that verifies.
     bool proven_fake = false;
   };
 
-  AddResult TryRebuild(const Digest& root, Bucket& bucket,
-                       const Certificate& cert);
+  AddResult TryRebuild(Bucket& bucket, const Certificate& cert);
+  /// Marks `bucket`'s root proven fake and frees its chunks.
+  AddResult Ban(Bucket& bucket);
   /// Reports `result` into the registry counters (no-op when unwired).
   AddResult Count(AddResult result);
 
@@ -97,7 +88,6 @@ class EntryRebuilder {
   std::map<Digest, Bucket> buckets_;
   size_t banned_total_ = 0;
   EntryPtr entry_;
-  Digest winning_root_{};
   // Pre-resolved observability handles (null when not wired).
   obs::Counter* accepted_counter_ = nullptr;
   obs::Counter* duplicate_counter_ = nullptr;

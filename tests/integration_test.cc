@@ -6,6 +6,10 @@
 
 #include "core/config.h"
 #include "core/experiment.h"
+#include "crypto/signature.h"
+#include "proto/messages.h"
+#include "replication/encoder.h"
+#include "replication/transfer_plan.h"
 
 namespace massbft {
 namespace {
@@ -232,13 +236,128 @@ TEST(IntegrationTest, CrashedGroupRejoinsAndResumes) {
 
 TEST(IntegrationTest, HeterogeneousGroupSizes) {
   // Fig 12 setup: G1 has 4 nodes, G2/G3 have 7. MassBFT must stay live
-  // with unequal transfer plans (LCM 28 chunks).
+  // with unequal transfer plans (LCM 28 chunks): every submitted
+  // transaction commits, and no node is left holding a globally committed
+  // entry without its payload (each node rebuilds from chunks it holds
+  // itself).
   ExperimentConfig config = SmallCluster(ProtocolConfig::MassBft());
   config.topology = TopologyConfig::Nationwide(3, 7);
   config.topology.group_sizes = {4, 7, 7};
+  config.workload_scale = 1.0;  // Fig 12's table: fewer hot-key retries.
+  config.clients_per_group = 400;
   RunOutcome out = RunCluster(std::move(config));
   EXPECT_GE(out.agreement, 1);
   EXPECT_GT(out.result.committed_txns, 500u);
+  EXPECT_EQ(out.result.failed, 0u);
+
+  Experiment& experiment = *out.experiment;
+  experiment.sim().RunUntil(experiment.sim().Now() + 2 * kSecond);
+  int checked = 0;
+  for (const auto& node : experiment.nodes()) {
+    for (uint16_t g = 0; g < 3; ++g) {
+      const uint64_t committed = experiment.node(NodeId{g, 0})->own_clock();
+      for (uint64_t seq = 0; seq < committed; ++seq) {
+        GroupNode::RecordView view = node->InspectRecord(g, seq);
+        if (!view.globally_committed) continue;
+        ++checked;
+        EXPECT_TRUE(view.payload_available)
+            << "node " << node->id().group << "/" << node->id().index
+            << " holds committed entry (" << g << "," << seq
+            << ") without its payload";
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+/// A cluster of a 7-node and a 4-node group with no clients, so the only
+/// chunks in flight are the ones a test hands to a node. Entry (0, 5) is
+/// encoded under the 7->4 plan (28 chunks, n_data = 13; receiver r gets
+/// chunks 7r..7r+6 from senders floor(c/4)).
+class ChunkExchangeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ExperimentConfig config = SmallCluster(ProtocolConfig::MassBft(), 2, 7);
+    config.topology.group_sizes = {7, 4};
+    config.clients_per_group = 0;
+    experiment_ = std::make_unique<Experiment>(std::move(config));
+    ASSERT_TRUE(experiment_->Setup().ok());
+
+    auto plan = TransferPlan::Create(7, 4);
+    ASSERT_TRUE(plan.ok());
+    n_data_ = plan->n_data();
+    entry_ = std::make_shared<const Entry>(
+        0, 5,
+        std::vector<Transaction>{Transaction{1, 1, 0, Bytes(3000, 0x5A)}});
+    auto encoded = EncodeEntryForPlan(*entry_, *plan);
+    ASSERT_TRUE(encoded.ok());
+    encoded_ = std::move(*encoded);
+
+    // Keys derive from the NodeId, so a registry of the test's own signs
+    // a group-0 certificate the cluster's nodes accept (2f+1 = 5 of 7).
+    KeyRegistry registry;
+    cert_.gid = 0;
+    cert_.digest = entry_->digest();
+    const Bytes payload(cert_.digest.begin(), cert_.digest.end());
+    for (uint16_t i = 0; i < 5; ++i) {
+      registry.RegisterNode(NodeId{0, i});
+      cert_.AddSignature(i, registry.Sign(NodeId{0, i}, payload));
+    }
+  }
+
+  /// Hands chunks first..last of the entry to `to` as one batch from `from`.
+  void Feed(NodeId from, NodeId to, int first, int last) {
+    std::vector<Chunk> chunks(encoded_.chunks.begin() + first,
+                              encoded_.chunks.begin() + last + 1);
+    experiment_->node(to)->HandleMessage(
+        from, std::make_shared<ChunkBatchMsg>(0, 5, encoded_.merkle_root,
+                                              cert_, std::move(chunks),
+                                              entry_->ByteSize()));
+  }
+
+  bool HasPayload(NodeId id) {
+    return experiment_->node(id)->InspectRecord(0, 5).payload_available;
+  }
+
+  uint64_t ChunksAccepted() {
+    return experiment_->telemetry()
+        .registry()
+        .GetCounter("rebuild/chunks_accepted")
+        ->value();
+  }
+
+  std::unique_ptr<Experiment> experiment_;
+  int n_data_ = 0;
+  EntryPtr entry_;
+  EncodedEntry encoded_;
+  Certificate cert_;
+};
+
+TEST_F(ChunkExchangeTest, ReceiverForwardsEveryWanBatchToItsGroup) {
+  // Receiver 1/0 gets its chunks 0..6 in two WAN batches: 0..3 from
+  // sender 0/0 and 4..6 from sender 0/1.
+  Feed(NodeId{0, 0}, NodeId{1, 0}, 0, 3);
+  Feed(NodeId{0, 1}, NodeId{1, 0}, 4, 6);
+  experiment_->sim().RunUntil(experiment_->sim().Now() + kSecond);
+  // 1/0 holds its 7 chunks and each of its 3 peers received all 7.
+  EXPECT_EQ(ChunksAccepted(), 7u + 3u * 7u);
+
+  // So peer 1/1 reaches n_data = 13 with six chunks of its own (7..12).
+  EXPECT_FALSE(HasPayload(NodeId{1, 1}));
+  Feed(NodeId{0, 1}, NodeId{1, 1}, 7, 7);
+  Feed(NodeId{0, 2}, NodeId{1, 1}, 8, 11);
+  Feed(NodeId{0, 3}, NodeId{1, 1}, 12, 12);
+  EXPECT_TRUE(HasPayload(NodeId{1, 1}));
+}
+
+TEST_F(ChunkExchangeTest, PayloadComesOnlyFromChunksTheNodeHolds) {
+  // 1/0 rebuilds from n_data chunks handed over the LAN (so it forwards
+  // nothing on).
+  Feed(NodeId{1, 1}, NodeId{1, 0}, 0, n_data_ - 1);
+  ASSERT_TRUE(HasPayload(NodeId{1, 0}));
+  // 1/2 holds one chunk of the same entry: what 1/0 rebuilt is not its.
+  Feed(NodeId{1, 1}, NodeId{1, 2}, n_data_, n_data_);
+  EXPECT_FALSE(HasPayload(NodeId{1, 2}));
 }
 
 TEST(IntegrationTest, AsyncOrderingBeatsRoundsUnderHeterogeneousGroups) {

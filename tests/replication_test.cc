@@ -378,22 +378,40 @@ TEST_F(RebuilderTest, RepeatedFakeRootsEachCostOneRebuildOnly) {
   EXPECT_EQ(rebuilder.entry()->digest(), entry_->digest());
 }
 
-TEST_F(RebuilderTest, HeldChunksOnlyFromHealthyBuckets) {
-  Bytes tampered_payload = entry_->Encoded();
-  tampered_payload[4] ^= 0xFF;
-  auto tampered = EncodeBytesForPlan(tampered_payload, *plan_);
-  ASSERT_TRUE(tampered.ok());
+TEST_F(RebuilderTest, ForgedCertificateDoesNotBanGenuineRoot) {
+  // A Byzantine peer forwards genuine chunks with a certificate whose
+  // signatures do not verify. That proves nothing about the chunks: the
+  // bucket stays and the next chunk's genuine certificate completes it,
+  // even when that chunk repeats one the bucket already holds.
+  Certificate forged;
+  forged.gid = 0;
+  forged.digest = entry_->digest();
+  const Bytes wrong_payload(32, 0x07);
+  for (int i = 0; i < 3; ++i) {
+    NodeId node{0, static_cast<uint16_t>(i)};
+    forged.AddSignature(node.index, registry_.Sign(node, wrong_payload));
+  }
 
   EntryRebuilder rebuilder = MakeRebuilder();
-  rebuilder.AddChunk(encoded_->merkle_root, 5, encoded_->chunks[5].data,
-                     encoded_->chunks[5].proof, cert_);
-  for (int c = 0; c < plan_->n_data(); ++c)
-    rebuilder.AddChunk(tampered->merkle_root, c, tampered->chunks[c].data,
-                       tampered->chunks[c].proof, cert_);
-  auto held = rebuilder.HeldChunks();
-  ASSERT_EQ(held.size(), 1u);  // Only the healthy chunk is re-shared.
-  EXPECT_EQ(held[0].chunk_id, 5u);
-  EXPECT_EQ(held[0].root, encoded_->merkle_root);
+  for (int c = 0; c < plan_->n_data(); ++c) {
+    EXPECT_EQ(rebuilder.AddChunk(encoded_->merkle_root, c,
+                                 encoded_->chunks[c].data,
+                                 encoded_->chunks[c].proof, forged),
+              EntryRebuilder::AddResult::kPending);
+  }
+  EXPECT_FALSE(rebuilder.complete());
+  EXPECT_EQ(rebuilder.banned_count(), 0);
+  // Another forged certificate on a repeat changes nothing either.
+  EXPECT_EQ(rebuilder.AddChunk(encoded_->merkle_root, 0,
+                               encoded_->chunks[0].data,
+                               encoded_->chunks[0].proof, forged),
+            EntryRebuilder::AddResult::kDuplicate);
+  EXPECT_EQ(rebuilder.AddChunk(encoded_->merkle_root, 0,
+                               encoded_->chunks[0].data,
+                               encoded_->chunks[0].proof, cert_),
+            EntryRebuilder::AddResult::kRebuilt);
+  ASSERT_TRUE(rebuilder.complete());
+  EXPECT_EQ(rebuilder.entry()->digest(), entry_->digest());
 }
 
 TEST_F(RebuilderTest, ChunksAfterCompletionIgnored) {
