@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   config.warmup = SecondsToSim(2 * scale);
   config.faults.byzantine_per_group = 2;
   config.faults.byzantine_from = SecondsToSim(20 * scale);
-  config.faults.crash_group = 0;
+  config.faults.crash = config.topology.GroupNodes(0);
   config.faults.crash_at = SecondsToSim(40 * scale);
 
   Experiment experiment(config);

@@ -36,7 +36,7 @@ int main() {
   config.execute_on_all_nodes = true;  // Every replica maintains the ledger.
 
   // Region outage: Silicon Valley (group 2) goes dark at t = 6 s.
-  config.faults.crash_group = 2;
+  config.faults.crash = config.topology.GroupNodes(2);
   config.faults.crash_at = 6 * kSecond;
 
   Experiment experiment(config);

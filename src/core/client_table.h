@@ -19,8 +19,11 @@ namespace massbft {
 /// depends only on the seed. The caller owns the clock (simulated or wall)
 /// and passes submit times in.
 ///
-/// Not synchronized: the threaded harness touches client i only on the
-/// event loop of client i's group leader; IndexOf reads nothing mutable.
+/// It is also both harnesses' liveness oracle: a run's `failed` is the
+/// number of clients still outstanding after its drain.
+///
+/// Not synchronized: the threaded harness touches group g's clients only
+/// on g's leader's event loop; IndexOf reads nothing mutable.
 class ClientTable {
  public:
   struct Client {
@@ -28,7 +31,10 @@ class ClientTable {
     int group = 0;
     uint64_t next_txn = 0;
     Rng rng;
+    uint64_t outstanding = kNone;  // Submitted, not yet committed txn id.
   };
+
+  static constexpr uint64_t kNone = ~uint64_t{0};
 
   /// Builds groups × clients_per_group clients, group-major, forking each
   /// client's rng from `seed_rng` in that order.
@@ -37,7 +43,8 @@ class ClientTable {
     for (uint32_t g = 0; g < static_cast<uint32_t>(groups); ++g) {
       for (uint32_t c = 0; c < clients_per_group_; ++c)
         clients_.push_back(Client{(g << kIndexBits) | c,
-                                  static_cast<int>(g), 0, seed_rng.Fork()});
+                                  static_cast<int>(g), 0, seed_rng.Fork(),
+                                  kNone});
     }
   }
 
@@ -53,8 +60,8 @@ class ClientTable {
     return at < size() ? at : size();
   }
 
-  /// Materializes client `index`'s next transaction, submitted at
-  /// `submit_time`; its id (client_id << 32) | n is unique across the table.
+  /// Materializes client `index`'s next (now outstanding) transaction,
+  /// submitted at `submit_time`; its id (client_id << 32) | n is unique.
   Transaction NextTxn(size_t index, Workload& workload, SimTime submit_time) {
     Client& c = clients_[index];
     Transaction txn;
@@ -62,7 +69,32 @@ class ClientTable {
     txn.id = (static_cast<uint64_t>(c.id) << 32) | c.next_txn++;
     txn.submit_time = submit_time;
     txn.payload = workload.NextPayload(c.rng);
+    c.outstanding = txn.id;
     return txn;
+  }
+
+  /// Clears `txn` if it is its client's outstanding one and returns the
+  /// client's index; size() for a stale or unknown transaction.
+  size_t Commit(const Transaction& txn) {
+    const size_t index = IndexOf(txn.client);
+    if (index >= size() || clients_[index].outstanding != txn.id)
+      return size();
+    clients_[index].outstanding = kNone;
+    return index;
+  }
+
+  /// `group`'s transactions are lost with its crashed leader, not stalled.
+  void MarkLost(int group) {
+    for (Client& c : clients_)
+      if (c.group == group) c.outstanding = kNone;
+  }
+
+  /// Outstanding clients of `group` (of every group when negative).
+  size_t Outstanding(int group = -1) const {
+    size_t count = 0;
+    for (const Client& c : clients_)
+      if ((group < 0 || c.group == group) && c.outstanding != kNone) ++count;
+    return count;
   }
 
  private:

@@ -37,7 +37,6 @@ ProtocolConfig ProtocolConfig::Baseline() {
   cfg.replication = ReplicationMode::kLeaderOneWay;
   cfg.ordering = OrderingMode::kRoundSync;
   cfg.use_global_raft = true;
-  cfg.propose_empty = true;
   return cfg;
 }
 
@@ -47,7 +46,6 @@ ProtocolConfig ProtocolConfig::GeoBft() {
   cfg.replication = ReplicationMode::kLeaderOneWay;
   cfg.ordering = OrderingMode::kRoundSync;
   cfg.use_global_raft = false;
-  cfg.propose_empty = true;
   return cfg;
 }
 
@@ -67,7 +65,6 @@ ProtocolConfig ProtocolConfig::Iss() {
   cfg.replication = ReplicationMode::kLeaderOneWay;
   cfg.ordering = OrderingMode::kEpoch;
   cfg.use_global_raft = true;
-  cfg.propose_empty = true;
   return cfg;
 }
 
@@ -77,7 +74,6 @@ ProtocolConfig ProtocolConfig::Br() {
   cfg.replication = ReplicationMode::kBijective;
   cfg.ordering = OrderingMode::kRoundSync;
   cfg.use_global_raft = true;
-  cfg.propose_empty = true;
   return cfg;
 }
 
@@ -87,7 +83,6 @@ ProtocolConfig ProtocolConfig::Ebr() {
   cfg.replication = ReplicationMode::kEncodedBijective;
   cfg.ordering = OrderingMode::kRoundSync;
   cfg.use_global_raft = true;
-  cfg.propose_empty = true;
   return cfg;
 }
 

@@ -53,14 +53,11 @@ struct ProtocolConfig {
   int max_batch_size = 500;
   /// Outstanding (proposed, not globally committed) entries per group.
   int pipeline_depth = 32;
-  /// Propose empty entries on timeout (required for round/epoch liveness).
-  bool propose_empty = false;
 
   /// ISS epoch length (paper: 0.1 s nationwide, 0.5 s worldwide).
   SimTime epoch_length = 100 * kMillisecond;
 
-  /// MassBFT fault detection.
-  SimTime heartbeat_interval = 150 * kMillisecond;
+  /// MassBFT fault detection: a group silent this long is taken over.
   SimTime group_crash_timeout = 2 * kSecond;
 
   CpuModel cpu;

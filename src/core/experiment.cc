@@ -99,21 +99,42 @@ void AddTelemetry(obs::Telemetry& telemetry, ExperimentResult* result) {
           : phases.batch_size_sum / static_cast<double>(phases.entries);
 }
 
-int64_t CommonPrefixLength(const std::vector<const ExecutionLog*>& logs) {
+int64_t CommonPrefixLength(const std::vector<ReplicaState>& replicas) {
   // Compare the executed (gid, seq) sequences of all correct executing
   // nodes; they must be prefixes of one another (Theorem V.6 agreement).
   // Checking each log against the longest, not against any one node's,
   // catches two logs that diverge past a shorter third.
   const ExecutionLog* longest = nullptr;
-  for (const ExecutionLog* log : logs)
-    if (longest == nullptr || log->size() > longest->size()) longest = log;
+  for (const ReplicaState& replica : replicas)
+    if (longest == nullptr || replica.log.size() > longest->size())
+      longest = &replica.log;
   if (longest == nullptr) return 0;
   int64_t min_len = static_cast<int64_t>(longest->size());
-  for (const ExecutionLog* log : logs) {
-    min_len = std::min<int64_t>(min_len, static_cast<int64_t>(log->size()));
-    if (!std::equal(log->begin(), log->end(), longest->begin())) return -1;
+  for (const ReplicaState& replica : replicas) {
+    const ExecutionLog& log = replica.log;
+    min_len = std::min<int64_t>(min_len, static_cast<int64_t>(log.size()));
+    if (!std::equal(log.begin(), log.end(), longest->begin())) return -1;
+    for (const ReplicaState& other : replicas)  // Execution is deterministic.
+      if (other.log.size() == log.size() &&
+          other.fingerprint != replica.fingerprint)
+        return -1;
   }
   return min_len;
+}
+
+Status ValidateFaultPlan(const FaultPlan& plan,
+                         const TopologyConfig& topology) {
+  auto crashes = [&](NodeId id) { return std::ranges::count(plan.crash, id); };
+  for (NodeId id : plan.crash) {
+    if (id.group >= topology.num_groups() ||
+        id.index >= topology.group_sizes[id.group])
+      return Status::InvalidArgument("fault plan crashes an unknown node");
+    if (id.index == 0 &&
+        !std::ranges::all_of(topology.GroupNodes(id.group), crashes))
+      return Status::InvalidArgument(
+          "fault plan crashes a group leader without its whole group");
+  }
+  return Status::OK();
 }
 
 Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {}
@@ -134,6 +155,7 @@ Status Experiment::Setup() {
   MASSBFT_ASSIGN_OR_RETURN(Topology topo,
                            Topology::Create(config_.topology));
   topology_ = std::make_unique<Topology>(std::move(topo));
+  MASSBFT_RETURN_IF_ERROR(ValidateFaultPlan(config_.faults, config_.topology));
   registry_ = std::make_unique<KeyRegistry>();
   workload_ = MakeWorkload(config_.workload, config_.workload_scale);
   if (workload_ == nullptr)
@@ -203,26 +225,23 @@ Status Experiment::Setup() {
   }
 
   // Fault schedule.
-  if (config_.faults.crash_group >= 0) {
-    int g = config_.faults.crash_group;
-    sim_->Schedule(config_.faults.crash_at, [this, g] {
-      for (auto& n : nodes_)
-        if (n->id().group == g) n->Crash();
-      // Transactions held by the crashed leader are lost with it, not
-      // stalled.
-      std::erase_if(in_flight_, [this, g](uint64_t txn_id) {
-        const size_t index =
-            clients_->IndexOf(static_cast<uint32_t>(txn_id >> 32));
-        return clients_->client(index).group == g;
-      });
+  const FaultPlan& faults = config_.faults;
+  if (!faults.crash.empty()) {
+    sim_->Schedule(faults.crash_at, [this] {
+      for (NodeId id : config_.faults.crash) {
+        node(id)->Crash();
+        if (id.index == 0) clients_->MarkLost(id.group);
+      }
     });
-    if (config_.faults.recover_at > config_.faults.crash_at) {
-      sim_->Schedule(config_.faults.recover_at, [this, g] {
-        for (auto& n : nodes_)
-          if (n->id().group == g) n->Recover();
-        // The region's clients reconnect and resume their closed loops.
-        for (size_t i = 0; i < clients_->size(); ++i)
-          if (clients_->client(i).group == g) SubmitNext(i);
+    if (faults.recover_at > faults.crash_at) {
+      sim_->Schedule(faults.recover_at, [this] {
+        for (NodeId id : config_.faults.crash) {
+          node(id)->Recover();
+          // A recovered leader's clients reconnect and resume.
+          for (size_t i = 0; i < clients_->size(); ++i)
+            if (id.index == 0 && clients_->client(i).group == id.group)
+              SubmitNext(i);
+        }
       });
     }
   }
@@ -246,23 +265,21 @@ void Experiment::SubmitNext(size_t client_index) {
   // delivery: the capture stays a 24-byte POD (inline in the event heap),
   // and since each closed-loop client draws from its own forked rng, the
   // payload bytes are identical either way.
-  sim_->Schedule(config_.client_rtt / 2, [this, client_index, submit_time] {
+  sim_->Schedule(kClientRtt / 2, [this, client_index, submit_time] {
     const int group = clients_->client(client_index).group;
     GroupNode* l = node(NodeId{static_cast<uint16_t>(group), 0});
     if (l == nullptr || l->crashed()) return;
-    Transaction txn = clients_->NextTxn(client_index, *workload_, submit_time);
-    in_flight_.insert(txn.id);
-    l->SubmitClientTxn(std::move(txn));
+    l->SubmitClientTxn(
+        clients_->NextTxn(client_index, *workload_, submit_time));
   });
 }
 
 void Experiment::OnTxnCommitted(const Transaction& txn, SimTime commit_time) {
-  in_flight_.erase(txn.id);
   last_commit_at_ = commit_time;
-  metrics_->RecordCommit(txn.submit_time, commit_time + config_.client_rtt / 2);
-  const size_t client_index = clients_->IndexOf(txn.client);
+  metrics_->RecordCommit(txn.submit_time, commit_time + kClientRtt / 2);
+  const size_t client_index = clients_->Commit(txn);
   if (client_index >= clients_->size()) return;
-  sim_->ScheduleAt(commit_time + config_.client_rtt, [this, client_index] {
+  sim_->ScheduleAt(commit_time + kClientRtt, [this, client_index] {
     SubmitNext(client_index);
   });
 }
@@ -329,23 +346,25 @@ ExperimentResult Experiment::Run() {
   // the closed loop would otherwise hide (its client just goes quiet).
   issuing_ = false;
   for (SimTime t = config_.duration;
-       !in_flight_.empty() &&
+       clients_->Outstanding() > 0 &&
        t < std::max(last_commit_at_, config_.duration) + kDrainQuiet;) {
     t += 100 * kMillisecond;
     sim_->RunUntil(t);
   }
-  result.failed = in_flight_.size();
+  result.failed = clients_->Outstanding();
+  if (sim_->Now() >= config_.faults.crash_at)
+    result.nodes_killed = static_cast<int>(config_.faults.crash.size());
   return result;
 }
 
 int64_t Experiment::CheckAgreement() const {
-  std::vector<const ExecutionLog*> logs;
+  std::vector<ReplicaState> replicas;
   for (const auto& n : nodes_) {
     if (n->crashed() || n->rejoined()) continue;
     if (!config_.execute_on_all_nodes && n->id().index != 0) continue;
-    logs.push_back(&n->execution_log());
+    replicas.push_back({n->execution_log(), n->store().StateFingerprint()});
   }
-  return CommonPrefixLength(logs);
+  return CommonPrefixLength(replicas);
 }
 
 }  // namespace massbft

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,20 +21,24 @@
 
 namespace massbft {
 
-/// Fault injection schedule (paper Section VI-E).
+/// Fault schedule (paper Section VI-E) of both harnesses; times are
+/// offsets from the run's start.
 struct FaultPlan {
   /// Byzantine chunk-tampering nodes per group (the highest-indexed ones),
-  /// active from `byzantine_from`.
+  /// active from `byzantine_from` (simulator only).
   int byzantine_per_group = 0;
   SimTime byzantine_from = 0;
-  /// Crash every node of this group at `crash_at` (-1 = none).
-  int crash_group = -1;
+  /// Nodes crash-stopped at `crash_at`.
+  std::vector<NodeId> crash;
   SimTime crash_at = 0;
-  /// Recover the crashed group at this time (0 = stays down). The group
-  /// rejoins, catches up from a peer and resumes serving its clients
-  /// (paper Section V-C).
+  /// Recover them at this offset (0 = they stay down): they catch up from
+  /// a peer (paper Section V-C) and a recovered leader's clients resume.
   SimTime recover_at = 0;
 };
+
+/// Rejects unknown nodes, and a leader crashed without its whole group:
+/// clients and Raft always address index 0, and there is no view change.
+Status ValidateFaultPlan(const FaultPlan& plan, const TopologyConfig& topology);
 
 /// One simulated cluster run: topology + protocol + workload + faults.
 struct ExperimentConfig {
@@ -49,8 +52,6 @@ struct ExperimentConfig {
   int clients_per_group = 400;
   SimTime duration = 12 * kSecond;
   SimTime warmup = 3 * kSecond;
-  /// Client <-> group leader round trip (clients are near their group).
-  SimTime client_rtt = 1 * kMillisecond;
   uint64_t seed = 42;
   FaultPlan faults;
   /// Execute on every node (agreement tests) instead of leaders only.
@@ -77,7 +78,7 @@ struct ExperimentResult {
   double p99_latency_ms = 0;
   uint64_t committed_txns = 0;
   /// Liveness oracle: transactions submitted to a leader that stayed up and
-  /// still uncommitted after the drain (Experiment::Run). 0 unless stalled.
+  /// still uncommitted after the drain (ClientTable). 0 unless stalled.
   uint64_t failed = 0;
   /// Permanently-aborted (business-abort) transactions: they completed
   /// deterministically with no effects and were not retried.
@@ -131,11 +132,17 @@ void AddTelemetry(obs::Telemetry& telemetry, ExperimentResult* result);
 /// One node's executed (gid, seq) sequence.
 using ExecutionLog = std::vector<std::pair<uint16_t, uint64_t>>;
 
+/// What the agreement oracle reads from one executing node.
+struct ReplicaState {
+  ExecutionLog log;
+  uint64_t fingerprint = 0;  // KvStore::StateFingerprint().
+};
+
 /// The agreement oracle of Theorem V.6, shared by both harnesses: every log
-/// must be a prefix of the longest one. Returns the length of the common
-/// prefix (the shortest log), -1 when some log diverges from the longest,
-/// and 0 when `logs` is empty.
-int64_t CommonPrefixLength(const std::vector<const ExecutionLog*>& logs);
+/// must be a prefix of the longest one, and equal logs must give equal
+/// states. Returns the length of the common prefix (the shortest log), -1
+/// on any disagreement, and 0 when `replicas` is empty.
+int64_t CommonPrefixLength(const std::vector<ReplicaState>& replicas);
 
 /// Builds and drives one simulated cluster. Usage:
 ///   Experiment exp(config);
@@ -157,6 +164,8 @@ class Experiment {
   /// A saturated leader may hold thousands of queued transactions and
   /// commit them in bursts seconds apart; a stalled one commits nothing.
   static constexpr SimTime kDrainQuiet = 10 * kSecond;
+  /// Client <-> group leader round trip (clients sit near their group).
+  static constexpr SimTime kClientRtt = 1 * kMillisecond;
 
   // ---- Observability.
   /// Cluster-wide telemetry (valid after Setup()).
@@ -175,7 +184,8 @@ class Experiment {
     return nodes_;
   }
   /// Verifies all continuously-correct executing nodes executed identical
-  /// prefixes. Returns the length of the common prefix; -1 on divergence.
+  /// prefixes (CommonPrefixLength). Returns the length of the common
+  /// prefix; -1 on divergence.
   /// Crashed and rejoined nodes are excluded: a rejoining replica is a
   /// catching-up learner whose authoritative state would come from a
   /// snapshot in production (see GroupNode::rejoined()).
@@ -195,8 +205,6 @@ class Experiment {
   std::unique_ptr<ClusterContext> ctx_;
   std::vector<std::unique_ptr<GroupNode>> nodes_;
   std::unique_ptr<ClientTable> clients_;
-  /// Ids of transactions submitted to a live leader and not yet committed.
-  std::set<uint64_t> in_flight_;
   SimTime last_commit_at_ = 0;
   bool issuing_ = true;
   bool setup_done_ = false;

@@ -19,6 +19,9 @@ Bytes TamperedBytes(const Bytes& encoded) {
   return tampered;
 }
 
+/// Period of MassBFT's group heartbeats (see group_crash_timeout).
+constexpr SimTime kHeartbeatInterval = 150 * kMillisecond;
+
 }  // namespace
 
 GroupNode::GroupNode(Simulator* sim, Network* network, NodeId id,
@@ -154,7 +157,7 @@ void GroupNode::Start() {
     if (config_.kind == ProtocolKind::kMassBft) {
       for (int g = 0; g < num_groups(); ++g)
         last_heartbeat_[static_cast<uint16_t>(g)] = Now();
-      After(config_.heartbeat_interval,
+      After(kHeartbeatInterval,
             [this, epoch] { OnHeartbeatTimer(epoch); });
     }
   }
@@ -180,6 +183,15 @@ void GroupNode::OnBatchTimer(uint64_t epoch) {
 
 void GroupNode::TryFormBatch(bool timer_fired) {
   if (!started_ || !IsGroupLeader() || crashed()) return;
+  // Round/epoch ordering needs every group's entry of each round, so idle
+  // leaders fill rounds with empty entries, but at most a pipeline past
+  // their executed prefix: a slot frees at global commit, long before a
+  // round waiting on a slow group executes, and run-ahead would flood
+  // that group's WAN.
+  const auto executed = executed_next_.find(static_cast<uint16_t>(my_group()));
+  const uint64_t empty_limit =
+      (executed == executed_next_.end() ? 0 : executed->second) +
+      static_cast<uint64_t>(config_.pipeline_depth);
   while (outstanding_ < config_.pipeline_depth) {
     bool full = static_cast<int>(pending_txns_.size()) >= config_.max_batch_size;
     // VTS liveness tick: ordering can only advance while group clocks
@@ -191,9 +203,12 @@ void GroupNode::TryFormBatch(bool timer_fired) {
     bool liveness_tick = timer_fired && pending_txns_.empty() &&
                          config_.ordering == OrderingMode::kAsyncVts &&
                          HasStaleUnexecuted();
+    bool fill_round = (config_.ordering == OrderingMode::kRoundSync ||
+                       config_.ordering == OrderingMode::kEpoch) &&
+                      next_local_seq_ < empty_limit;
     bool timeout_batch =
         timer_fired &&
-        (!pending_txns_.empty() || config_.propose_empty || liveness_tick);
+        (!pending_txns_.empty() || fill_round || liveness_tick);
     if (!full && !timeout_batch) break;
     timer_fired = false;  // At most one timeout-triggered batch per tick.
 
@@ -752,7 +767,7 @@ void GroupNode::OnHeartbeatTimer(uint64_t epoch) {
   for (int g = 0; g < num_groups(); ++g)
     if (g != my_group()) SendWan(LeaderOf(g), hb);
   CheckGroupLiveness();
-  After(config_.heartbeat_interval,
+  After(kHeartbeatInterval,
         [this, epoch] { OnHeartbeatTimer(epoch); });
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +23,10 @@ using Clock = std::chrono::steady_clock;
 /// Wall-clock budget, after issuing stops, for every node to execute
 /// everything that committed before it stopped.
 constexpr std::chrono::seconds kDrainTimeout{20};
+/// A drain with no commit for this long has stalled; what is outstanding
+/// then counts as failed. It outlasts the default group_crash_timeout
+/// (2 s): a cluster waiting out a group takeover commits nothing.
+constexpr std::chrono::seconds kDrainQuiet{5};
 
 std::string NodeName(NodeId id) {
   return std::to_string(id.group) + "/" + std::to_string(id.index);
@@ -45,6 +50,10 @@ Status RealCluster::Setup() {
   MASSBFT_ASSIGN_OR_RETURN(Topology topo,
                            Topology::Create(config_.topology));
   topology_ = std::make_unique<Topology>(std::move(topo));
+  MASSBFT_RETURN_IF_ERROR(ValidateFaultPlan(config_.faults, config_.topology));
+  if (config_.faults.byzantine_per_group > 0)
+    return Status::InvalidArgument(
+        "Byzantine tampering needs the simulator's collusion channel");
   registry_ = std::make_unique<KeyRegistry>(config_.crypto);
   if (config_.crypto == CryptoScheme::kEd25519) {
     // Real crypto pays its cost in wall time; zero the simulated per-op
@@ -141,14 +150,15 @@ void RealCluster::SubmitNext(size_t client_index) {
 }
 
 void RealCluster::OnTxnCommitted(NodeRuntime& leader, const Transaction& txn) {
-  const size_t client_index = clients_->IndexOf(txn.client);
-  if (client_index >= clients_->size()) return;
   // submit_time was stamped by this same leader (SubmitNext), so the
   // latency is wall time on one clock.
-  group_metrics_[static_cast<size_t>(clients_->client(client_index).group)]
-      .RecordCommit(txn.submit_time, leader.Elapsed());
+  group_metrics_[leader.id().group].RecordCommit(txn.submit_time,
+                                                 leader.Elapsed());
   committed_.fetch_add(1, std::memory_order_relaxed);
-  if (issuing_.load(std::memory_order_relaxed)) SubmitNext(client_index);
+  const size_t client_index = clients_->Commit(txn);
+  if (client_index < clients_->size() &&
+      issuing_.load(std::memory_order_relaxed))
+    SubmitNext(client_index);
 }
 
 Status RealCluster::KillNode(NodeId id) {
@@ -172,12 +182,13 @@ Status RealCluster::KillNode(NodeId id) {
   // Crash on the event loop first (cancels protocol timers via the epoch
   // bump) so a later restart resumes a node that knows it crashed, then
   // tear the runtime — and its transport — down.
-  rt->Call([](GroupNode& n) {
+  rt->Call([this, id](GroupNode& n) {
     n.Crash();
+    // Transactions held by a crashed leader are lost with it, not stalled.
+    if (id.index == 0) clients_->MarkLost(id.group);
     return true;
   });
   rt->Stop();
-  killed_.push_back(id);
   ++nodes_killed_;
   return Status::OK();
 }
@@ -201,93 +212,85 @@ Status RealCluster::RestartNode(NodeId id) {
   // a leader, requests catch-up from a peer group (paper Section V-C). The
   // runtime deliberately did not re-run GroupNode::Start().
   rt->Post([rt] { rt->node().Recover(); });
+  if (id.index == 0 && issuing_.load(std::memory_order_relaxed)) {
+    // The recovered leader's clients reconnect and resume their loops.
+    for (size_t i = 0; i < clients_->size(); ++i)
+      if (clients_->client(i).group == id.group) SubmitNext(i);
+  }
   return Status::OK();
 }
 
-bool RealCluster::EligibleForAgreement(NodeRuntime& rt) {
+std::vector<ReplicaState> RealCluster::Replicas() {
   // Killed nodes have no live state; rejoined nodes are catching-up
   // learners whose re-derived interleaving is not authoritative (the same
   // rule as Experiment::CheckAgreement).
-  if (!rt.running()) return false;
-  return !rt.Call([](GroupNode& n) { return n.rejoined(); });
+  std::vector<ReplicaState> replicas;
+  for (auto& rt : runtimes_) {
+    if (!rt->running()) continue;
+    std::optional<ReplicaState> replica =
+        rt->Call([](GroupNode& n) -> std::optional<ReplicaState> {
+          if (n.rejoined()) return std::nullopt;
+          return ReplicaState{n.execution_log(), n.store().StateFingerprint()};
+        });
+    if (replica.has_value()) replicas.push_back(std::move(*replica));
+  }
+  return replicas;
 }
 
 Status RealCluster::IssueWindow() {
   const auto start = Clock::now();
-  auto sleep_until_offset = [&](double offset_s) {
+  auto sleep_until_offset = [&](SimTime offset) {
     std::this_thread::sleep_until(
         start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(offset_s)));
+                    std::chrono::duration<double>(std::min(
+                        SimToSeconds(offset), config_.duration_seconds))));
   };
-  const bool crashes =
-      config_.crash_nodes_per_group > 0 && config_.crash_at_s > 0;
-  if (crashes) {
-    sleep_until_offset(std::min(config_.crash_at_s,
-                                config_.duration_seconds));
-    // Kill the highest-indexed followers of every group; index 0 (the
-    // leader clients submit to) always survives.
-    for (int g = 0; g < topology_->num_groups(); ++g) {
-      const int size = config_.topology.group_sizes[static_cast<size_t>(g)];
-      const int count = std::min(config_.crash_nodes_per_group, size - 1);
-      for (int k = 0; k < count; ++k) {
-        MASSBFT_RETURN_IF_ERROR(
-            KillNode(NodeId{static_cast<uint16_t>(g),
-                            static_cast<uint16_t>(size - 1 - k)}));
-      }
-    }
-    if (config_.restart_at_s > config_.crash_at_s) {
-      sleep_until_offset(std::min(config_.restart_at_s,
-                                  config_.duration_seconds));
-      // Copy under the lock: a stats handler could be inside KillNode
-      // growing killed_ while we iterate (RestartNode re-acquires).
-      std::vector<NodeId> to_restart;
-      {
-        MutexLock lock(&introspection_mu_);
-        to_restart = killed_;
-      }
-      for (NodeId id : to_restart) MASSBFT_RETURN_IF_ERROR(RestartNode(id));
+  const FaultPlan& faults = config_.faults;
+  if (!faults.crash.empty()) {
+    sleep_until_offset(faults.crash_at);
+    for (NodeId id : faults.crash) MASSBFT_RETURN_IF_ERROR(KillNode(id));
+    if (faults.recover_at > faults.crash_at) {
+      sleep_until_offset(faults.recover_at);
+      for (NodeId id : faults.crash) MASSBFT_RETURN_IF_ERROR(RestartNode(id));
     }
   }
-  sleep_until_offset(config_.duration_seconds);
+  sleep_until_offset(SecondsToSim(config_.duration_seconds));
   return Status::OK();
+}
+
+size_t RealCluster::Outstanding() {
+  size_t outstanding = 0;
+  for (int g = 0; g < topology_->num_groups(); ++g) {
+    NodeRuntime* leader = runtime(NodeId{static_cast<uint16_t>(g), 0});
+    outstanding += leader->Call(
+        [this, g](GroupNode&) { return clients_->Outstanding(g); });
+  }
+  return outstanding;
 }
 
 bool RealCluster::DrainUntilStable() {
   // A VTS cluster never fully quiesces: the tail entries of each group can
   // only execute once other groups' clocks pass them, so idle leaders keep
   // proposing *empty* entries (the liveness tick). Empty entries do not
-  // touch the store, so convergence is judged on state fingerprints: once
-  // every replica holds the same fingerprint and no new transactions are
-  // committing, all client work has been executed everywhere.
+  // touch the store, so convergence is judged on state: once nothing is
+  // outstanding and every replica holds the same fingerprint, all client
+  // work has been executed everywhere.
   const auto deadline = Clock::now() + kDrainTimeout;
-  uint64_t prev_committed = 0;
-  bool had_stable_round = false;
-  while (Clock::now() < deadline) {
+  auto last_commit = Clock::now();
+  // Relaxed: a monotone progress probe; a stale read costs one poll.
+  uint64_t committed = committed_.load(std::memory_order_relaxed);
+  while (Clock::now() < deadline && Clock::now() - last_commit < kDrainQuiet) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    bool all_equal = true;
-    bool have_first = false;
-    uint64_t first = 0;
-    for (auto& rt : runtimes_) {
-      if (!EligibleForAgreement(*rt)) continue;
-      uint64_t fp = rt->Call(
-          [](GroupNode& n) { return n.store().StateFingerprint(); });
-      if (!have_first) {
-        first = fp;
-        have_first = true;
-      } else {
-        all_equal = all_equal && fp == first;
-      }
+    if (Outstanding() == 0) {
+      const std::vector<ReplicaState> replicas = Replicas();
+      if (std::ranges::all_of(replicas, [&](const ReplicaState& r) {
+            return r.fingerprint == replicas.front().fingerprint;
+          }))
+        return true;
     }
-    // Relaxed: a monotone progress probe — a stale read only costs one
-    // extra settle round.
-    uint64_t committed = committed_.load(std::memory_order_relaxed);
-    if (all_equal && committed == prev_committed) {
-      if (had_stable_round) return true;
-      had_stable_round = true;
-    } else {
-      had_stable_round = false;
-    }
-    prev_committed = committed;
+    const uint64_t now_committed = committed_.load(std::memory_order_relaxed);
+    if (now_committed != committed) last_commit = Clock::now();
+    committed = now_committed;
   }
   return false;
 }
@@ -433,25 +436,16 @@ Result<ExperimentResult> RealCluster::Run() {
 
   // Let in-flight entries commit and execute everywhere. The VTS liveness
   // tick keeps advancing the global order even with no new client load.
-  if (!DrainUntilStable()) {
+  const bool converged = DrainUntilStable();
+  const size_t failed = Outstanding();
+  if (!converged && failed == 0) {
     return fail("drain timeout",
-                Status::Internal("cluster did not reach a stable agreed "
-                                 "state within the drain timeout"));
+                Status::Internal("replicas did not reach one state with "
+                                 "nothing outstanding"));
   }
 
   // Collect per-node state through each node's own event loop, then stop.
-  // Killed and rejoined nodes sit out the agreement check (same rule as
-  // Experiment::CheckAgreement).
-  std::vector<NodeId> agreed;
-  std::vector<uint64_t> fingerprints;
-  std::vector<ExecutionLog> logs;
-  for (auto& rt : runtimes_) {
-    if (!EligibleForAgreement(*rt)) continue;
-    agreed.push_back(rt->id());
-    fingerprints.push_back(
-        rt->Call([](GroupNode& n) { return n.store().StateFingerprint(); }));
-    logs.push_back(rt->Call([](GroupNode& n) { return n.execution_log(); }));
-  }
+  const std::vector<ReplicaState> replicas = Replicas();
   ExperimentResult result;
   {
     // Held past the stops: a stats handler runs inline on a stopped
@@ -461,27 +455,17 @@ Result<ExperimentResult> RealCluster::Run() {
     for (auto& rt : runtimes_) AddTelemetry(rt->telemetry(), &result);
     result.nodes_killed = nodes_killed_;
   }
+  result.failed = failed;
 
-  if (fingerprints.empty())
+  if (replicas.empty())
     return fail("no surviving node",
                 Status::Internal("no continuously-correct node survived to "
                                  "the agreement check"));
-
-  // Agreement: identical fingerprints, and every execution log a prefix of
-  // the longest (lengths differ only by the still-moving empty-entry tail;
-  // see DrainUntilStable).
-  for (size_t i = 1; i < fingerprints.size(); ++i) {
-    if (fingerprints[i] != fingerprints[0])
-      return fail("fingerprint divergence",
-                  Status::Internal("state fingerprint divergence at node " +
-                                   NodeName(agreed[i])));
-  }
-  std::vector<const ExecutionLog*> log_views;
-  for (const ExecutionLog& log : logs) log_views.push_back(&log);
-  if (CommonPrefixLength(log_views) < 0)
-    return fail("execution order divergence",
-                Status::Internal("execution orders diverge: some node's log "
-                                 "is not a prefix of the longest"));
+  if (CommonPrefixLength(replicas) < 0)
+    return fail("replica divergence",
+                Status::Internal("replicas disagree: some execution log is "
+                                 "not a prefix of the longest, or one log "
+                                 "gave two states"));
 
   // The leaders' threads are joined: their collectors are safe to merge.
   MetricsCollector metrics(0, std::numeric_limits<SimTime>::max());

@@ -45,15 +45,10 @@ struct RealClusterConfig {
   /// FaultSpec::seed, so runs are reproducible). Partition windows are
   /// offsets from Run()'s start.
   FaultSpec net_faults;
-  /// Crash-stop the highest-indexed `crash_nodes_per_group` nodes of every
-  /// group (never the leader) at `crash_at_s` seconds into the run. Keep it
-  /// <= f per group for the survivors to stay live.
-  int crash_nodes_per_group = 0;
-  double crash_at_s = 0;
-  /// Restart the crashed nodes at this offset (0 = they stay down). The
-  /// restarted nodes rejoin via GroupNode::Recover() and are excluded from
-  /// the final agreement check, mirroring Experiment::CheckAgreement.
-  double restart_at_s = 0;
+  /// The simulator's crash/recover schedule (offsets clamped to the issuing
+  /// window). Setup() rejects Byzantine tampering: its colluding nodes
+  /// share encodings through the simulator's ClusterContext.
+  FaultPlan faults;
 
   // ---- Observability (DESIGN.md §14).
   /// Record per-node protocol traces and write the merged cluster-wide
@@ -68,11 +63,11 @@ struct RealClusterConfig {
 };
 
 /// Builds one NodeRuntime per node, drives closed-loop clients against the
-/// group leaders for the configured duration, then drains until every node
-/// has executed the same entries and checks that all state fingerprints
-/// agree. The client table, the agreement oracle and the telemetry half of
-/// the result are the ones Experiment uses (ClientTable,
-/// CommonPrefixLength, AddTelemetry). Usage mirrors Experiment:
+/// group leaders for the configured duration, then drains until nothing is
+/// outstanding and every node holds the same state, or until commits stop.
+/// The client table (and liveness oracle), the fault plan, the agreement
+/// oracle and the telemetry half of the result are the ones Experiment
+/// uses. Usage mirrors Experiment:
 ///   RealCluster cluster(config);
 ///   MASSBFT_RETURN_IF_ERROR(cluster.Setup());
 ///   auto result = cluster.Run();   // Result<ExperimentResult>, mode "real"
@@ -88,20 +83,21 @@ class RealCluster {
   /// are started yet).
   [[nodiscard]] Status Setup();
 
-  /// Runs the cluster: start, issue (executing the crash/restart schedule),
-  /// drain, verify agreement across continuously-correct nodes, stop.
-  /// Fails with Internal if surviving nodes' states diverge.
+  /// Runs the cluster: start, issue (executing the fault plan), drain,
+  /// verify agreement across continuously-correct nodes, stop. Fails with
+  /// Internal if their states diverge, or never converge with nothing
+  /// outstanding; a stall is reported in `failed`.
   [[nodiscard]] Result<ExperimentResult> Run();
 
   /// Crash-stops one node: GroupNode::Crash() on its event loop, then the
-  /// runtime (transport included) is stopped. Callable mid-run from the
-  /// driving thread.
+  /// runtime (transport included) is stopped. A crashed leader's clients
+  /// are lost with it. Callable mid-run from the driving thread.
   [[nodiscard]] Status KillNode(NodeId id);
 
   /// Restarts a killed node and posts GroupNode::Recover() — the node
   /// rejoins, catches up from a peer, and resumes, but stays excluded from
   /// agreement checks (it is a catching-up learner; see
-  /// GroupNode::rejoined()).
+  /// GroupNode::rejoined()). A restarted leader's clients resubmit.
   [[nodiscard]] Status RestartNode(NodeId id);
 
   const std::vector<std::unique_ptr<NodeRuntime>>& runtimes() const {
@@ -125,16 +121,16 @@ class RealCluster {
   /// Fired on `leader`'s event-loop thread, `leader` being the origin
   /// group's leader.
   void OnTxnCommitted(NodeRuntime& leader, const Transaction& txn);
-  /// True when `rt` should participate in agreement checks: running and
-  /// never crashed (a rejoined learner's re-derived state is not
-  /// authoritative).
-  bool EligibleForAgreement(NodeRuntime& rt);
-  /// Waits until every eligible node holds the same state fingerprint and
-  /// commits have stopped (two stable readings in a row); false on drain
-  /// timeout.
+  /// Execution log and state of every node eligible for the agreement
+  /// check: running and never crashed.
+  std::vector<ReplicaState> Replicas();
+  /// Client transactions outstanding, each group's counted on its leader's
+  /// event loop.
+  size_t Outstanding();
+  /// Waits until nothing is outstanding and the fingerprints agree (true),
+  /// or until nothing commits for kDrainQuiet or kDrainTimeout passes.
   bool DrainUntilStable();
-  /// Executes the configured crash/restart schedule while sleeping out the
-  /// transaction-issuing window.
+  /// Executes the fault plan while sleeping out the issuing window.
   [[nodiscard]] Status IssueWindow();
   /// Starts the localhost stats server and registers /metrics + /health.
   [[nodiscard]] Status StartStatsServer();
@@ -183,8 +179,6 @@ class RealCluster {
   /// Non-owning views of the per-node injectors (owned by the runtimes'
   /// transport chain); empty when net_faults.any() is false.
   std::vector<FaultInjectingTransport*> fault_transports_;
-  /// Nodes crash-stopped by KillNode (in kill order).
-  std::vector<NodeId> killed_ MASSBFT_GUARDED_BY(introspection_mu_);
   int nodes_killed_ MASSBFT_GUARDED_BY(introspection_mu_) = 0;
 };
 

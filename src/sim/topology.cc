@@ -98,9 +98,9 @@ std::vector<NodeId> Topology::AllNodes() const {
   return nodes;
 }
 
-std::vector<NodeId> Topology::GroupNodes(int group) const {
+std::vector<NodeId> TopologyConfig::GroupNodes(int group) const {
   std::vector<NodeId> nodes;
-  for (int i = 0; i < group_size(group); ++i)
+  for (int i = 0; i < group_sizes[static_cast<size_t>(group)]; ++i)
     nodes.push_back(
         NodeId{static_cast<uint16_t>(group), static_cast<uint16_t>(i)});
   return nodes;

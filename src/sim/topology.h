@@ -45,6 +45,8 @@ struct TopologyConfig {
 
   int num_groups() const { return static_cast<int>(group_sizes.size()); }
   int total_nodes() const;
+  /// The nodes of `group`, leader (index 0) first.
+  std::vector<NodeId> GroupNodes(int group) const;
 
   /// Validates sizes and matrix shape.
   Status Validate() const;
@@ -74,7 +76,6 @@ class Topology {
 
   /// All node ids, group-major.
   std::vector<NodeId> AllNodes() const;
-  std::vector<NodeId> GroupNodes(int group) const;
 
  private:
   explicit Topology(TopologyConfig config);

@@ -27,21 +27,32 @@ TEST(AgreementOracleTest, LongerLogsDivergingPastTheFirstNodeAreCaught) {
   const ExecutionLog a = Log({{0, 0}, {1, 0}});
   const ExecutionLog b = Log({{0, 0}, {1, 0}, {2, 0}, {0, 1}});
   const ExecutionLog c = Log({{0, 0}, {1, 0}, {0, 1}});
-  EXPECT_EQ(CommonPrefixLength({&a, &b, &c}), -1);
+  EXPECT_EQ(CommonPrefixLength({{a}, {b}, {c}}), -1);
 }
 
 TEST(AgreementOracleTest, IdenticalLogsOfDifferentLengthsGiveTheShortest) {
   const ExecutionLog a = Log({{0, 0}, {1, 0}, {2, 0}});
   const ExecutionLog b = Log({{0, 0}});
   const ExecutionLog c = Log({{0, 0}, {1, 0}});
-  EXPECT_EQ(CommonPrefixLength({&a, &b, &c}), 1);
-  EXPECT_EQ(CommonPrefixLength({&a}), 3);
+  EXPECT_EQ(CommonPrefixLength({{a}, {b}, {c}}), 1);
+  EXPECT_EQ(CommonPrefixLength({{a}}), 3);
 }
 
 TEST(AgreementOracleTest, DivergenceInsideTheCommonPrefixIsCaught) {
   const ExecutionLog a = Log({{0, 0}, {1, 0}, {2, 0}});
   const ExecutionLog b = Log({{1, 0}, {0, 0}, {2, 0}});
-  EXPECT_EQ(CommonPrefixLength({&a, &b}), -1);
+  EXPECT_EQ(CommonPrefixLength({{a}, {b}}), -1);
+}
+
+TEST(AgreementOracleTest, EqualLogsWithDifferentStatesAreCaught) {
+  // Execution is deterministic: two replicas that executed the same log
+  // must hold the same state. Replicas with different log lengths may
+  // differ (the shorter one has not executed the tail yet).
+  const ExecutionLog a = Log({{0, 0}, {1, 0}});
+  const ExecutionLog b = Log({{0, 0}, {1, 0}});
+  const ExecutionLog c = Log({{0, 0}});
+  EXPECT_EQ(CommonPrefixLength({{a, 7}, {b, 8}}), -1);
+  EXPECT_EQ(CommonPrefixLength({{a, 7}, {b, 7}, {c, 9}}), 1);
 }
 
 TEST(AgreementOracleTest, NoEligibleNodeGivesZero) {

@@ -36,13 +36,19 @@ struct RunOutcome {
   std::unique_ptr<Experiment> experiment;
 };
 
-RunOutcome RunCluster(ExperimentConfig config) {
+/// Runs one cluster and asserts liveness: every client outside a crashed
+/// group got its last transaction committed. `expect_live` = false is for
+/// the one test whose point is a stall.
+RunOutcome RunCluster(ExperimentConfig config, bool expect_live = true) {
   RunOutcome out;
   out.experiment = std::make_unique<Experiment>(std::move(config));
   Status s = out.experiment->Setup();
   EXPECT_TRUE(s.ok()) << s.ToString();
   out.result = out.experiment->Run();
   out.agreement = out.experiment->CheckAgreement();
+  if (expect_live) {
+    EXPECT_EQ(out.result.failed, 0u);
+  }
   return out;
 }
 
@@ -153,7 +159,7 @@ TEST(IntegrationTest, GroupCrashRecoversViaTakeover) {
   config.duration = 8 * kSecond;
   config.warmup = 1 * kSecond;
   config.protocol.group_crash_timeout = 1 * kSecond;
-  config.faults.crash_group = 2;
+  config.faults.crash = config.topology.GroupNodes(2);
   config.faults.crash_at = 3 * kSecond;
   RunOutcome out = RunCluster(std::move(config));
   EXPECT_GE(out.agreement, 1);
@@ -181,9 +187,11 @@ TEST(IntegrationTest, GroupCrashStallsWithoutTakeoverTimeout) {
   config.duration = 6 * kSecond;
   config.warmup = 1 * kSecond;
   config.protocol.group_crash_timeout = 60 * kSecond;
-  config.faults.crash_group = 2;
+  config.faults.crash = config.topology.GroupNodes(2);
   config.faults.crash_at = 2 * kSecond;
-  RunOutcome out = RunCluster(std::move(config));
+  RunOutcome out = RunCluster(std::move(config), /*expect_live=*/false);
+  // The surviving groups' clients wait on entries that never execute.
+  EXPECT_GT(out.result.failed, 0u);
   double tail_tps = 0;
   for (const auto& p : out.result.timeline)
     if (p.time_s >= 4.0 && p.time_s < 6.0) tail_tps += p.tps;
@@ -198,7 +206,7 @@ TEST(IntegrationTest, CrashedGroupRejoinsAndResumes) {
   config.duration = 10 * kSecond;
   config.warmup = 1 * kSecond;
   config.protocol.group_crash_timeout = 1 * kSecond;
-  config.faults.crash_group = 2;
+  config.faults.crash = config.topology.GroupNodes(2);
   config.faults.crash_at = 2 * kSecond;
   config.faults.recover_at = 5 * kSecond;
   RunOutcome out = RunCluster(std::move(config));
@@ -248,7 +256,6 @@ TEST(IntegrationTest, HeterogeneousGroupSizes) {
   RunOutcome out = RunCluster(std::move(config));
   EXPECT_GE(out.agreement, 1);
   EXPECT_GT(out.result.committed_txns, 500u);
-  EXPECT_EQ(out.result.failed, 0u);
 
   Experiment& experiment = *out.experiment;
   experiment.sim().RunUntil(experiment.sim().Now() + 2 * kSecond);
@@ -365,9 +372,11 @@ TEST(IntegrationTest, AsyncOrderingBeatsRoundsUnderHeterogeneousGroups) {
   // are slow, round ordering chains every commit to that group's entry
   // replication while VTS ordering lets the fast groups commit at their
   // own pace (the slow group contributes only small timestamp messages).
-  // The bandwidth gap makes the effect structural: byte-level phase
-  // alignment between batch timeout and RTT moves either number a few
-  // percent, which a same-bandwidth comparison cannot survive.
+  // Both runs must stay live (RunCluster). The gap is small: EBR used to
+  // trail by more than 5% only because its idle leaders ran ahead with
+  // empty entries until group 0 stalled (2.0k tps, `failed` = 110); with
+  // run-ahead bounded by execution EBR reaches 2.61k tps against
+  // EBR+A's 2.64k.
   auto run = [](ProtocolConfig protocol) {
     ExperimentConfig config = SmallCluster(std::move(protocol));
     config.topology = TopologyConfig::Nationwide(3, 7);
@@ -381,7 +390,7 @@ TEST(IntegrationTest, AsyncOrderingBeatsRoundsUnderHeterogeneousGroups) {
   };
   double ebr_async = run(ProtocolConfig::MassBft());
   double ebr_rounds = run(ProtocolConfig::Ebr());
-  EXPECT_GT(ebr_async, ebr_rounds * 1.05)
+  EXPECT_GT(ebr_async, ebr_rounds)
       << "async=" << ebr_async << " rounds=" << ebr_rounds;
 }
 

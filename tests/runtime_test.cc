@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/config.h"
 #include "runtime/cluster.h"
@@ -49,6 +52,7 @@ TEST(RealClusterTest, InProcClusterCommitsAndAgrees) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->mode, "real");
   EXPECT_GT(result->committed_txns, 0u);
+  EXPECT_EQ(result->failed, 0u);
   EXPECT_GT(result->throughput_tps, 0.0);
   // Real encoded bytes crossed the transport in both tiers.
   EXPECT_GT(result->total_wan_bytes, 0u);
@@ -65,6 +69,7 @@ TEST(RealClusterTest, TcpClusterCommitsAndAgrees) {
   auto result = cluster.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->committed_txns, 0u);
+  EXPECT_EQ(result->failed, 0u);
   EXPECT_GT(result->total_wan_bytes, 0u);
 }
 
@@ -73,6 +78,15 @@ TEST(RealClusterTest, SetupRejectsInvalidTopology) {
   config.topology.group_sizes.clear();
   RealCluster cluster(config);
   EXPECT_FALSE(cluster.Setup().ok());
+}
+
+TEST(RealClusterTest, SetupRejectsByzantinePlan) {
+  // Colluding Byzantine nodes share their tampered encodings through the
+  // simulator's ClusterContext; the threaded runtime has no such channel.
+  RealClusterConfig config = SmallConfig();
+  config.faults.byzantine_per_group = 1;
+  RealCluster cluster(config);
+  EXPECT_TRUE(cluster.Setup().IsInvalidArgument());
 }
 
 TEST(RealClusterTest, KillAndRestartValidatePreconditions) {
@@ -106,22 +120,7 @@ TEST(RealClusterTest, HeterogeneousGroupsDrainAndAgree) {
   auto result = cluster.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->committed_txns, 0u);
-}
-
-TEST(RealClusterTest, AgreesWithCrashedFollowersPerGroup) {
-  // f = 1 for 4-node groups: crash one follower in every group mid-run.
-  // The survivors must keep committing and end in agreement; the paper's
-  // Section VI-E failure experiment, shrunk to test size.
-  RealClusterConfig config = SmallConfig();
-  config.duration_seconds = 1.2;
-  config.crash_nodes_per_group = 1;
-  config.crash_at_s = 0.4;
-  RealCluster cluster(config);
-  ASSERT_TRUE(cluster.Setup().ok());
-  auto result = cluster.Run();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->committed_txns, 0u);
-  EXPECT_EQ(result->nodes_killed, 2);
+  EXPECT_EQ(result->failed, 0u);
 }
 
 TEST(RealClusterTest, CrashedFollowersRejoinOverTcp) {
@@ -133,14 +132,15 @@ TEST(RealClusterTest, CrashedFollowersRejoinOverTcp) {
   config.use_tcp = true;
   config.base_port = 19380;
   config.duration_seconds = 1.5;
-  config.crash_nodes_per_group = 1;
-  config.crash_at_s = 0.3;
-  config.restart_at_s = 0.8;
+  config.faults.crash = {NodeId{0, 3}, NodeId{1, 3}};
+  config.faults.crash_at = 300 * kMillisecond;
+  config.faults.recover_at = 800 * kMillisecond;
   RealCluster cluster(config);
   ASSERT_TRUE(cluster.Setup().ok());
   auto result = cluster.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->committed_txns, 0u);
+  EXPECT_EQ(result->failed, 0u);
   EXPECT_EQ(result->nodes_killed, 2);
   // Peers kept (non-blockingly) redialing the dead node; once it came
   // back, at least one connection was re-established.
@@ -148,9 +148,12 @@ TEST(RealClusterTest, CrashedFollowersRejoinOverTcp) {
 }
 
 TEST(RealClusterTest, AgreesAcrossHealedPartition) {
-  // Cut group 0 from group 1 for 0.4s mid-run, then heal. Cross-group
-  // ordering stalls during the window; after it heals the VTS tick moves
-  // again and the drain must converge to one fingerprint.
+  // Cut group 0 from group 1 for 0.4s mid-run, then heal. The replicas
+  // must still agree. They do not stay live: every frame dropped in the
+  // window is lost for good (global Raft does not retransmit and nothing
+  // pulls a missing payload), so cross-group ordering wedges and all 16
+  // clients end with a transaction outstanding (`failed` = 16). The
+  // repair-pull item on the ROADMAP takes this run as its acceptance case.
   RealClusterConfig config = SmallConfig();
   config.duration_seconds = 1.5;
   FaultSpec::Partition partition;
@@ -192,6 +195,7 @@ TEST(RealClusterTest, AgreesUnderDuplicationAndDelay) {
   auto result = cluster.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->committed_txns, 0u);
+  EXPECT_EQ(result->failed, 0u);
   EXPECT_GT(result->faults_injected, 0u);
 }
 
@@ -246,6 +250,7 @@ TEST(RealClusterTest, ObservabilityEndToEnd) {
   const std::string health = HttpGet(cluster.stats_port(), "/health");
   runner.join();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->failed, 0u);
 
   // Prometheus exposition: every node's registry behind one endpoint,
   // grouped under shared # TYPE headers with per-node labels.
@@ -291,6 +296,111 @@ TEST(RealClusterTest, ObservabilityEndToEnd) {
   EXPECT_NE(trace.find("\"ph\":\"f\""), std::string::npos);
   // Chaos-injector fault instants ride the owning node's track.
   EXPECT_NE(trace.find("\"cat\":\"fault\""), std::string::npos);
+}
+
+/// One fault scenario of the paper's Section VI-E, run by both harnesses.
+struct FaultRow {
+  const char* name;
+  FaultPlan plan;
+  /// False leaves the row to the simulator.
+  bool real = true;
+};
+
+void PrintTo(const FaultRow& row, std::ostream* os) { *os << row.name; }
+
+FaultPlan Plan(std::vector<NodeId> crash, double crash_at_s,
+               double recover_at_s = 0) {
+  FaultPlan plan;
+  plan.crash = std::move(crash);
+  plan.crash_at = SecondsToSim(crash_at_s);
+  plan.recover_at = SecondsToSim(recover_at_s);
+  return plan;
+}
+
+const TopologyConfig kFaultTopology = TopologyConfig::Nationwide(3, 4);
+const std::vector<NodeId> kOneFollowerPerGroup = {NodeId{0, 3}, NodeId{1, 3},
+                                                  NodeId{2, 3}};
+
+class FaultPlanTest : public ::testing::TestWithParam<FaultRow> {};
+
+TEST_P(FaultPlanTest, BothHarnessesAgreeAndStayLive) {
+  // The same plan through the simulated and the threaded cluster, with the
+  // same assertions: the continuously-correct replicas agree, and every
+  // client outside a lost group got its last transaction committed. The
+  // real rows use simulated-HMAC crypto so a TSan build can run them.
+  const FaultRow& row = GetParam();
+  constexpr double kSeconds = 3.0;
+  ProtocolConfig protocol = ProtocolConfig::MassBft();
+  protocol.group_crash_timeout = 1 * kSecond;
+  auto check = [&](const char* mode, const ExperimentResult& result) {
+    EXPECT_GT(result.committed_txns, 0u) << mode;
+    EXPECT_EQ(result.failed, 0u) << mode;
+    EXPECT_EQ(result.nodes_killed, static_cast<int>(row.plan.crash.size()))
+        << mode;
+  };
+
+  ExperimentConfig sim;
+  sim.topology = kFaultTopology;
+  sim.protocol = protocol;
+  sim.workload_scale = 0.02;
+  sim.clients_per_group = 16;
+  sim.duration = SecondsToSim(kSeconds);
+  sim.warmup = kSecond / 2;
+  sim.seed = 7;
+  sim.faults = row.plan;
+  Experiment experiment(sim);
+  ASSERT_TRUE(experiment.Setup().ok());
+  check("sim", experiment.Run());
+  EXPECT_GE(experiment.CheckAgreement(), 1);
+  if (!row.real) return;
+
+  RealClusterConfig real;
+  real.topology = kFaultTopology;
+  real.protocol = protocol;
+  real.workload_scale = sim.workload_scale;
+  real.clients_per_group = sim.clients_per_group;
+  real.duration_seconds = kSeconds;
+  real.seed = sim.seed;
+  real.crypto = CryptoScheme::kSimulatedHmac;
+  real.faults = row.plan;
+  RealCluster cluster(real);
+  ASSERT_TRUE(cluster.Setup().ok());
+  auto result = cluster.Run();  // Fails unless the replicas agree.
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  check("real", *result);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultPlans, FaultPlanTest,
+    ::testing::Values(
+        FaultRow{"FollowerCrash", Plan(kOneFollowerPerGroup, 0.5)},
+        FaultRow{"FollowerCrashRestart",
+                 Plan(kOneFollowerPerGroup, 0.5, 1.5)},
+        FaultRow{"GroupCrash", Plan(kFaultTopology.GroupNodes(2), 0.5)},
+        // Sim-only: on the wire the recovered group sometimes never gets
+        // its resubmitted transactions committed (`failed` = 16) and
+        // sometimes leaves groups 0 and 1 disagreeing (CHANGES.md FOUND).
+        FaultRow{"GroupCrashRecover",
+                 Plan(kFaultTopology.GroupNodes(2), 0.5, 2.0),
+                 /*real=*/false}),
+    [](const ::testing::TestParamInfo<FaultRow>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(FaultPlanTest, LeaderWithoutItsGroupIsRejected) {
+  // Clients and global Raft always address index 0 and there is no local
+  // view change, so a leader crashes only with its whole group.
+  FaultPlan plan = Plan({NodeId{1, 0}}, 0.5);
+  ExperimentConfig sim;
+  sim.topology = kFaultTopology;
+  sim.faults = plan;
+  Experiment experiment(sim);
+  EXPECT_TRUE(experiment.Setup().IsInvalidArgument());
+
+  RealClusterConfig real = SmallConfig();
+  real.faults = plan;
+  RealCluster cluster(real);
+  EXPECT_TRUE(cluster.Setup().IsInvalidArgument());
 }
 
 }  // namespace

@@ -144,7 +144,7 @@ TEST(TopologyTest, ValidationRejectsBadConfigs) {
 TEST(TopologyTest, GroupNodesEnumerates) {
   auto topo = Topology::Create(TopologyConfig::Nationwide(2, 3));
   ASSERT_TRUE(topo.ok());
-  auto nodes = topo->GroupNodes(1);
+  auto nodes = topo->config().GroupNodes(1);
   ASSERT_EQ(nodes.size(), 3u);
   EXPECT_EQ(nodes[2], (NodeId{1, 2}));
   EXPECT_EQ(topo->AllNodes().size(), 6u);
