@@ -124,7 +124,9 @@ int64_t CommonPrefixLength(const std::vector<ReplicaState>& replicas) {
 
 Status ValidateFaultPlan(const FaultPlan& plan,
                          const TopologyConfig& topology) {
-  auto crashes = [&](NodeId id) { return std::ranges::count(plan.crash, id); };
+  auto crashes = [&](NodeId id) {
+    return std::ranges::find(plan.crash, id) != plan.crash.end();
+  };
   for (NodeId id : plan.crash) {
     if (id.group >= topology.num_groups() ||
         id.index >= topology.group_sizes[id.group])

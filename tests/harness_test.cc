@@ -91,6 +91,25 @@ TEST(ClientTableTest, TransactionIdsAreUniqueAcrossClients) {
   }
 }
 
+TEST(ClientTableTest, OutstandingClearsOnlyOnTheMatchingCommit) {
+  // The liveness oracle: a commit resumes its client only if it is the
+  // client's outstanding transaction, and a crashed leader's clients are
+  // lost rather than stalled.
+  Rng seed_rng(7);
+  ClientTable table(seed_rng, /*groups=*/2, /*clients_per_group=*/2);
+  std::unique_ptr<Workload> workload = MakeWorkload(WorkloadKind::kYcsbA, 0.01);
+  const Transaction stale = table.NextTxn(0, *workload, 0);
+  const Transaction current = table.NextTxn(0, *workload, 1);
+  table.NextTxn(2, *workload, 0);
+  EXPECT_EQ(table.Outstanding(), 2u);
+  EXPECT_EQ(table.Commit(stale), table.size());
+  EXPECT_EQ(table.Outstanding(0), 1u);
+  EXPECT_EQ(table.Commit(current), 0u);
+  EXPECT_EQ(table.Outstanding(0), 0u);
+  table.MarkLost(1);
+  EXPECT_EQ(table.Outstanding(), 0u);
+}
+
 TEST(ResultAssemblyTest, AbortsCountedFromTelemetry) {
   obs::Telemetry telemetry;
   telemetry.registry().GetCounter("exec/logic_aborts")->Add(3);
