@@ -1,8 +1,10 @@
 #ifndef MASSBFT_CORE_CLIENT_TABLE_H_
 #define MASSBFT_CORE_CLIENT_TABLE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -31,10 +33,8 @@ class ClientTable {
     int group = 0;
     uint64_t next_txn = 0;
     Rng rng;
-    uint64_t outstanding = kNone;  // Submitted, not yet committed txn id.
+    std::optional<uint64_t> outstanding;  // Submitted, uncommitted txn id.
   };
-
-  static constexpr uint64_t kNone = ~uint64_t{0};
 
   /// Builds groups × clients_per_group clients, group-major, forking each
   /// client's rng from `seed_rng` in that order.
@@ -44,7 +44,7 @@ class ClientTable {
       for (uint32_t c = 0; c < clients_per_group_; ++c)
         clients_.push_back(Client{(g << kIndexBits) | c,
                                   static_cast<int>(g), 0, seed_rng.Fork(),
-                                  kNone});
+                                  std::nullopt});
     }
   }
 
@@ -79,22 +79,26 @@ class ClientTable {
     const size_t index = IndexOf(txn.client);
     if (index >= size() || clients_[index].outstanding != txn.id)
       return size();
-    clients_[index].outstanding = kNone;
+    clients_[index].outstanding.reset();
     return index;
   }
 
   /// `group`'s transactions are lost with its crashed leader, not stalled.
   void MarkLost(int group) {
     for (Client& c : clients_)
-      if (c.group == group) c.outstanding = kNone;
+      if (c.group == group) c.outstanding.reset();
   }
 
-  /// Outstanding clients of `group` (of every group when negative).
-  size_t Outstanding(int group = -1) const {
-    size_t count = 0;
-    for (const Client& c : clients_)
-      if ((group < 0 || c.group == group) && c.outstanding != kNone) ++count;
-    return count;
+  /// Clients with a transaction outstanding, in every group or in `group`.
+  size_t Outstanding() const {
+    return static_cast<size_t>(std::ranges::count_if(
+        clients_, [](const Client& c) { return c.outstanding.has_value(); }));
+  }
+  size_t Outstanding(int group) const {
+    return static_cast<size_t>(std::ranges::count_if(
+        clients_, [group](const Client& c) {
+          return c.group == group && c.outstanding.has_value();
+        }));
   }
 
  private:

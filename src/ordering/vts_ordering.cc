@@ -149,10 +149,4 @@ void VtsOrderingEngine::RunExecutionLoop() {
 
 void VtsOrderingEngine::Poke() { RunExecutionLoop(); }
 
-VtsOrderingEngine::HeadState VtsOrderingEngine::HeadStateFor(int gid) const {
-  const EntryState& e =
-      entries_.at(Key{static_cast<uint16_t>(gid), heads_[gid]});
-  return HeadState{e.vts, e.set};
-}
-
 }  // namespace massbft

@@ -56,15 +56,6 @@ class VtsOrderingEngine {
   void Poke();
 
   uint64_t executed_count() const { return executed_count_; }
-  /// Next unexecuted sequence for a group (the head).
-  uint64_t HeadSeq(int gid) const { return heads_[gid]; }
-
-  /// Diagnostic: the head entry's VTS and set-bits (tests / debugging).
-  struct HeadState {
-    std::vector<uint64_t> vts;
-    std::vector<bool> set;
-  };
-  HeadState HeadStateFor(int gid) const;
 
  private:
   struct EntryState {

@@ -116,58 +116,6 @@ Result<RelayEvent> RelayEvent::DecodeFrom(BinaryReader* r) {
   return e;
 }
 
-const char* MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kClientRequest:
-      return "client_request";
-    case MessageType::kClientReply:
-      return "client_reply";
-    case MessageType::kPrePrepare:
-      return "pre_prepare";
-    case MessageType::kPrepare:
-      return "prepare";
-    case MessageType::kCommit:
-      return "commit";
-    case MessageType::kViewChange:
-      return "view_change";
-    case MessageType::kNewView:
-      return "new_view";
-    case MessageType::kCertifyRequest:
-      return "certify_request";
-    case MessageType::kCertifyVote:
-      return "certify_vote";
-    case MessageType::kEntryTransfer:
-      return "entry_transfer";
-    case MessageType::kChunkBatch:
-      return "chunk_batch";
-    case MessageType::kRaftPropose:
-      return "raft_propose";
-    case MessageType::kRaftAccept:
-      return "raft_accept";
-    case MessageType::kRaftCommit:
-      return "raft_commit";
-    case MessageType::kTimestampAssign:
-      return "timestamp_assign";
-    case MessageType::kGroupHeartbeat:
-      return "group_heartbeat";
-    case MessageType::kGroupRelay:
-      return "group_relay";
-    case MessageType::kEpochMarker:
-      return "epoch_marker";
-    case MessageType::kLeaderForward:
-      return "leader_forward";
-    case MessageType::kCatchUpRequest:
-      return "catch_up_request";
-    case MessageType::kFreezeQuery:
-      return "freeze_query";
-    case MessageType::kFreezeReport:
-      return "freeze_report";
-    case MessageType::kCatchUpDone:
-      return "catch_up_done";
-  }
-  return "unknown";
-}
-
 // --------------------------------------------------------------- Encoders
 
 void ClientRequestMsg::EncodeBodyTo(BinaryWriter* w) const {

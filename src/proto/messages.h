@@ -76,10 +76,6 @@ constexpr bool CarriesTraceContext(MessageType type) {
          type == MessageType::kLeaderForward;
 }
 
-/// Stable lowercase name for diagnostics (health views, flight-recorder
-/// dumps). Never returns null.
-const char* MessageTypeName(MessageType type);
-
 /// Common base for every wire message. The encoded body is the single
 /// source of truth for message size: ByteSize() runs the real encoder once
 /// and memoizes the result (messages are immutable after construction and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iostream>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,13 +22,22 @@ using Clock = std::chrono::steady_clock;
 /// Wall-clock budget, after issuing stops, for every node to execute
 /// everything that committed before it stopped.
 constexpr std::chrono::seconds kDrainTimeout{20};
-/// A drain with no commit for this long has stalled; what is outstanding
-/// then counts as failed. It outlasts the default group_crash_timeout
-/// (2 s): a cluster waiting out a group takeover commits nothing.
+/// A drain with transactions outstanding and no commit for this long has
+/// stalled; what is outstanding then counts as failed. DrainUntilStable
+/// stretches it to twice group_crash_timeout: a cluster waiting out a
+/// group takeover commits nothing.
 constexpr std::chrono::seconds kDrainQuiet{5};
 
 std::string NodeName(NodeId id) {
   return std::to_string(id.group) + "/" + std::to_string(id.index);
+}
+
+/// Empty entries leave the store alone and a stall freezes it, so every
+/// replica of a drained cluster holds one state whatever its log length.
+bool OneState(const std::vector<ReplicaState>& replicas) {
+  return std::ranges::all_of(replicas, [&](const ReplicaState& r) {
+    return r.fingerprint == replicas.front().fingerprint;
+  });
 }
 
 }  // namespace
@@ -227,12 +235,12 @@ std::vector<ReplicaState> RealCluster::Replicas() {
   std::vector<ReplicaState> replicas;
   for (auto& rt : runtimes_) {
     if (!rt->running()) continue;
-    std::optional<ReplicaState> replica =
-        rt->Call([](GroupNode& n) -> std::optional<ReplicaState> {
-          if (n.rejoined()) return std::nullopt;
-          return ReplicaState{n.execution_log(), n.store().StateFingerprint()};
-        });
-    if (replica.has_value()) replicas.push_back(std::move(*replica));
+    // Call returns once the node's loop has run this: `replicas` is ours.
+    rt->Call([&replicas](GroupNode& n) {
+      if (!n.rejoined())
+        replicas.push_back({n.execution_log(), n.store().StateFingerprint()});
+      return true;
+    });
   }
   return replicas;
 }
@@ -268,31 +276,27 @@ size_t RealCluster::Outstanding() {
   return outstanding;
 }
 
-bool RealCluster::DrainUntilStable() {
+void RealCluster::DrainUntilStable() {
   // A VTS cluster never fully quiesces: the tail entries of each group can
   // only execute once other groups' clocks pass them, so idle leaders keep
-  // proposing *empty* entries (the liveness tick). Empty entries do not
-  // touch the store, so convergence is judged on state: once nothing is
-  // outstanding and every replica holds the same fingerprint, all client
-  // work has been executed everywhere.
+  // proposing *empty* entries (the liveness tick). Convergence is judged
+  // on state instead: nothing outstanding and one state at every replica.
   const auto deadline = Clock::now() + kDrainTimeout;
+  const auto quiet = std::max<Clock::duration>(
+      kDrainQuiet,
+      std::chrono::nanoseconds(2 * config_.protocol.group_crash_timeout));
   auto last_commit = Clock::now();
   // Relaxed: a monotone progress probe; a stale read costs one poll.
   uint64_t committed = committed_.load(std::memory_order_relaxed);
-  while (Clock::now() < deadline && Clock::now() - last_commit < kDrainQuiet) {
+  while (Clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    if (Outstanding() == 0) {
-      const std::vector<ReplicaState> replicas = Replicas();
-      if (std::ranges::all_of(replicas, [&](const ReplicaState& r) {
-            return r.fingerprint == replicas.front().fingerprint;
-          }))
-        return true;
-    }
     const uint64_t now_committed = committed_.load(std::memory_order_relaxed);
     if (now_committed != committed) last_commit = Clock::now();
     committed = now_committed;
+    if (Outstanding() > 0 ? Clock::now() - last_commit >= quiet
+                          : OneState(Replicas()))
+      return;
   }
-  return false;
 }
 
 Status RealCluster::StartStatsServer() {
@@ -436,13 +440,8 @@ Result<ExperimentResult> RealCluster::Run() {
 
   // Let in-flight entries commit and execute everywhere. The VTS liveness
   // tick keeps advancing the global order even with no new client load.
-  const bool converged = DrainUntilStable();
+  DrainUntilStable();
   const size_t failed = Outstanding();
-  if (!converged && failed == 0) {
-    return fail("drain timeout",
-                Status::Internal("replicas did not reach one state with "
-                                 "nothing outstanding"));
-  }
 
   // Collect per-node state through each node's own event loop, then stop.
   const std::vector<ReplicaState> replicas = Replicas();
@@ -461,11 +460,11 @@ Result<ExperimentResult> RealCluster::Run() {
     return fail("no surviving node",
                 Status::Internal("no continuously-correct node survived to "
                                  "the agreement check"));
-  if (CommonPrefixLength(replicas) < 0)
+  if (!OneState(replicas) || CommonPrefixLength(replicas) < 0)
     return fail("replica divergence",
-                Status::Internal("replicas disagree: some execution log is "
-                                 "not a prefix of the longest, or one log "
-                                 "gave two states"));
+                Status::Internal("replicas disagree: they did not reach "
+                                 "one state, or some execution log is not "
+                                 "a prefix of the longest"));
 
   // The leaders' threads are joined: their collectors are safe to merge.
   MetricsCollector metrics(0, std::numeric_limits<SimTime>::max());

@@ -85,8 +85,8 @@ class RealCluster {
 
   /// Runs the cluster: start, issue (executing the fault plan), drain,
   /// verify agreement across continuously-correct nodes, stop. Fails with
-  /// Internal if their states diverge, or never converge with nothing
-  /// outstanding; a stall is reported in `failed`.
+  /// Internal if, stalled or not, they end in different states; a stall is
+  /// reported in `failed`.
   [[nodiscard]] Result<ExperimentResult> Run();
 
   /// Crash-stops one node: GroupNode::Crash() on its event loop, then the
@@ -127,9 +127,9 @@ class RealCluster {
   /// Client transactions outstanding, each group's counted on its leader's
   /// event loop.
   size_t Outstanding();
-  /// Waits until nothing is outstanding and the fingerprints agree (true),
-  /// or until nothing commits for kDrainQuiet or kDrainTimeout passes.
-  bool DrainUntilStable();
+  /// Waits until nothing is outstanding and every replica holds one state,
+  /// until nothing commits for the quiet window, or until kDrainTimeout.
+  void DrainUntilStable();
   /// Executes the fault plan while sleeping out the issuing window.
   [[nodiscard]] Status IssueWindow();
   /// Starts the localhost stats server and registers /metrics + /health.
@@ -139,9 +139,9 @@ class RealCluster {
   /// Cluster-health JSON: per-node liveness, progress, queue depth and
   /// transport health, plus cluster-wide commit/fault counters.
   std::string HealthJson();
-  /// Dumps every node's flight recorder to stderr (called on agreement
-  /// failure / drain timeout so the last events before the failure are in
-  /// the log).
+  /// Dumps every node's flight recorder to stderr (called on any Run()
+  /// failure, agreement included, so the last events before the failure
+  /// are in the log).
   void DumpFlightRecorders(const char* why);
 
   RealClusterConfig config_;
